@@ -16,7 +16,6 @@ from .groebner import (CheckReport, NormalWordAutomaton, Overlap,
                        Presentation, RewriteSystem, check_groebner, complete,
                        leading_monomials_oracle, overlaps)
 from .resolution import ModuleElement, ResolutionEngine, TensorTerm
-from .wordops import BACKEND as WORDOPS_BACKEND
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "NotAnAntichain", "NotAnOim", "NotGroebner", "NotInKernel", "NotMinimal",
     "ObstructionSet", "Overlap", "Polynomial", "Presentation", "PrimeField",
     "QQ", "RationalField", "ResolutionEngine", "RewriteSystem", "TensorTerm",
-    "WORDOPS_BACKEND", "ZeroElement", "ZeroPolynomial", "antichain_from_oim",
+    "ZeroElement", "ZeroPolynomial", "antichain_from_oim",
     "bracket_prefix", "bracket_tail", "build_chain_graph", "check_groebner",
     "complete", "enumerate_chains", "enumerate_prechains", "find_subword",
     "identity_chain", "is_chain_top_down", "is_prechain",

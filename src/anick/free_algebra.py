@@ -147,6 +147,27 @@ def words_up_to_weight(alphabet, order, max_weight):
     return out
 
 
+def axpy(acc, items, c=1):
+    """acc += c * items, in place: add c times each (key, coeff) pair of
+    items into the dict acc, dropping keys whose coefficient becomes zero.
+
+    The coefficients in items must be nonzero. Returns acc.
+    """
+    if not c:
+        return acc
+    get = acc.get
+    for k, v in items:
+        v = c * v
+        old = get(k)
+        if old is not None:
+            v = old + v
+            if not v:
+                del acc[k]
+                continue
+        acc[k] = v
+    return acc
+
+
 class Polynomial:
     """Finite coefficient map word -> nonzero scalar."""
 
@@ -168,24 +189,12 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, 0) + c
-            if nc:
-                terms[w] = nc
-            else:
-                terms.pop(w, None)
-        return Polynomial(self.algebra, terms)
+        return Polynomial(self.algebra,
+                          axpy(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, 0) - c
-            if nc:
-                terms[w] = nc
-            else:
-                terms.pop(w, None)
-        return Polynomial(self.algebra, terms)
+        return Polynomial(self.algebra,
+                          axpy(dict(self.terms), other.terms.items(), -1))
 
     def __neg__(self):
         return Polynomial(self.algebra, {w: -c for w, c in self.terms.items()})
@@ -194,13 +203,8 @@ class Polynomial:
         if isinstance(other, Polynomial):
             terms = {}
             for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    nc = terms.get(w, 0) + c1 * c2
-                    if nc:
-                        terms[w] = nc
-                    else:
-                        terms.pop(w, None)
+                axpy(terms, ((w1 + w2, c2) for w2, c2 in other.terms.items()),
+                     c1)
             return Polynomial(self.algebra, terms)
         return self.scale(other)
 
@@ -266,18 +270,14 @@ class FreeAlgebra:
 
     def poly(self, mapping):
         """Build a polynomial from {word: coeff}; words may be strings."""
-        terms = {}
+        items = []
         for w, c in mapping.items():
             if isinstance(w, str):
                 w = self.alphabet.word(w)
             c = self.field(c)
             if c:
-                nc = terms.get(w, self.field.zero) + c
-                if nc:
-                    terms[w] = nc
-                else:
-                    terms.pop(w, None)
-        return Polynomial(self, terms)
+                items.append((w, c))
+        return Polynomial(self, axpy({}, items))
 
     def from_word(self, w, coeff=1):
         if isinstance(w, str):

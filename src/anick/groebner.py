@@ -10,7 +10,7 @@ from . import wordops
 from .errors import BoundExceeded, InvalidPresentation, ZeroPolynomial
 from .fields import QQ, field_from_json
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
-                           words_up_to_weight)
+                           axpy, words_up_to_weight)
 
 
 class Presentation:
@@ -174,17 +174,10 @@ class RewriteSystem:
         lm = self.leading_words[rule_index]
         prefix = word[:pos]
         suffix = word[pos + len(lm):]
-        terms = {}
-        for w2, c2 in rule.terms.items():
-            if w2 == lm:
-                continue
-            key = prefix + w2 + suffix
-            nc = terms.get(key, 0) - c2
-            if nc:
-                terms[key] = nc
-            else:
-                terms.pop(key, None)
-        return Polynomial(self.algebra, terms)
+        # distinct tail words stay distinct under the same prefix and suffix
+        return Polynomial(self.algebra, {prefix + w2 + suffix: -c2
+                                         for w2, c2 in rule.terms.items()
+                                         if w2 != lm})
 
     def normal_form_word(self, w):
         """Normal form of a single word, cached."""
@@ -202,19 +195,12 @@ class RewriteSystem:
             if pos < 0:
                 normal[u] = c
                 continue
-            rule = self.rules[ridx]
             lm = lms[ridx]
             prefix = u[:pos]
             suffix = u[pos + len(lm):]
-            for w2, c2 in rule.terms.items():
-                if w2 == lm:
-                    continue
-                word = prefix + w2 + suffix
-                nc = pending.get(word, 0) - c * c2
-                if nc:
-                    pending[word] = nc
-                else:
-                    pending.pop(word, None)
+            axpy(pending, ((prefix + w2 + suffix, c2)
+                           for w2, c2 in self.rules[ridx].terms.items()
+                           if w2 != lm), -c)
         result = Polynomial(self.algebra, normal)
         self._nf_cache[w] = result
         return result
@@ -224,12 +210,7 @@ class RewriteSystem:
         word first, leftmost occurrence, rules in stored order."""
         acc = {}
         for w, c in p.terms.items():
-            for v, m in self.normal_form_word(w).terms.items():
-                nc = acc.get(v, 0) + c * m
-                if nc:
-                    acc[v] = nc
-                else:
-                    acc.pop(v, None)
+            axpy(acc, self.normal_form_word(w).terms.items(), c)
         return Polynomial(self.algebra, acc)
 
     def automaton(self):
@@ -527,11 +508,5 @@ def leading_monomials_oracle(pres, max_degree):
                         inv = field.one / row[lw]
                         pivots[lw] = {w2: c2 * inv for w2, c2 in row.items()}
                         break
-                    c = row[lw]
-                    for w2, c2 in piv.items():
-                        nc = row.get(w2, 0) - c * c2
-                        if nc:
-                            row[w2] = nc
-                        else:
-                            row.pop(w2, None)
+                    axpy(row, piv.items(), -row[lw])
     return set(pivots)

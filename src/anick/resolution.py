@@ -8,6 +8,7 @@ from . import wordops
 from .chains import (ChainGraph, bracket_prefix, bracket_tail, enumerate_chains,
                      identity_chain, obstructions)
 from .errors import NonTermination, NotGroebner, NotInKernel, ZeroElement
+from .free_algebra import axpy
 from .groebner import RewriteSystem, check_groebner, complete
 
 
@@ -36,21 +37,18 @@ class ModuleElement:
             return NotImplemented
         return self.degree == other.degree and self.terms == other.terms
 
-    def __add__(self, other):
+    def _plus(self, other, c):
         if self.degree != other.degree:
             raise ValueError("degree mismatch %d vs %d"
                              % (self.degree, other.degree))
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            nc = terms.get(t, 0) + c
-            if nc:
-                terms[t] = nc
-            else:
-                terms.pop(t, None)
-        return ModuleElement(self.degree, terms)
+        return ModuleElement(self.degree,
+                             axpy(dict(self.terms), other.terms.items(), c))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return ModuleElement(self.degree,
@@ -79,8 +77,9 @@ class ResolutionEngine:
     """Computes differentials d_n and contracting homotopies i_n over the
     chain bases of a verified minimal rewrite system.
 
-    Differentials and homotopy values are cached; repeated runs produce
-    identical orderings and cache contents.
+    Differentials are cached, and filled in ascending degree order; the
+    homotopy is recomputed on every call. Repeated runs produce identical
+    orderings and cache contents.
     """
 
     def __init__(self, presentation, rewrite_system, debug=False):
@@ -95,7 +94,7 @@ class ResolutionEngine:
         self._chains = {}
         self._chain_index = {}
         self._d_cache = {}
-        self._i_memo = {}
+        self._filled_degree = 0
 
     @classmethod
     def from_presentation(cls, pres, max_degree=7, complete_system=False,
@@ -137,18 +136,14 @@ class ResolutionEngine:
 
     def element(self, degree, items):
         """Build from (chain, word, coeff) triples; words may be strings."""
-        terms = {}
+        pairs = []
         for chain, word, coeff in items:
             if isinstance(word, str):
                 word = self.algebra.word(word)
             c = self.field(coeff)
-            t = TensorTerm(chain, tuple(word))
-            nc = terms.get(t, self.field.zero) + c
-            if nc:
-                terms[t] = nc
-            else:
-                terms.pop(t, None)
-        return ModuleElement(degree, terms)
+            if c:
+                pairs.append((TensorTerm(chain, tuple(word)), c))
+        return ModuleElement(degree, axpy({}, pairs))
 
     def basis_element(self, degree, chain_word, word="1", coeff=1):
         if isinstance(chain_word, str):
@@ -207,25 +202,28 @@ class ResolutionEngine:
     def act(self, elem, word):
         """Right action: multiply every normal-word factor by word and
         renormalize."""
-        word = tuple(word)
+        return ModuleElement(elem.degree,
+                             self._act_into({}, elem, tuple(word), 1))
+
+    def _act_into(self, acc, elem, word, c):
+        """acc += c * (elem acted on by word), in place; returns acc."""
         if not word:
-            return elem
-        terms = {}
-        for t, c in elem.terms.items():
-            nf = self.rs.normal_form_word(t.word + word)
-            for v, m in nf.terms.items():
-                nt = TensorTerm(t.chain, v)
-                nc = terms.get(nt, 0) + c * m
-                if nc:
-                    terms[nt] = nc
-                else:
-                    terms.pop(nt, None)
-        return ModuleElement(elem.degree, terms)
+            return axpy(acc, elem.terms.items(), c)
+        nf = self.rs.normal_form_word
+        for t, m in elem.terms.items():
+            chain = t.chain
+            axpy(acc, ((TensorTerm(chain, v), k)
+                       for v, k in nf(t.word + word).terms.items()), c * m)
+        return acc
 
     # ---- differentials ----
 
     def differential(self, chain):
-        """d_n(chain (x) 1) for a degree n >= 1 chain, cached."""
+        """d_n(chain (x) 1) for a degree n >= 1 chain, cached.
+
+        d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
+        into its (n-1)-chain prefix and tail word.
+        """
         n = chain.degree
         if n < 1:
             raise ValueError("no differential below degree 1")
@@ -233,6 +231,12 @@ class ResolutionEngine:
         cached = self._d_cache.get(key)
         if cached is not None:
             return cached
+        # fill every lower degree first, ascending, so that building d_n
+        # only reads cached differentials and the call depth stays flat
+        while self._filled_degree < n - 1:
+            for c in self.chains(self._filled_degree + 1):
+                self.differential(c)
+            self._filled_degree += 1
         if n == 1:
             terms = {TensorTerm(identity_chain(), chain.word): self.field.one}
             eps = self.word_eval(chain.word)
@@ -242,18 +246,22 @@ class ResolutionEngine:
         else:
             prefix = bracket_prefix(chain, n - 1)
             tail = bracket_tail(chain, n - 1)
-            base = self.element(n - 1, [(prefix, tail, self.field.one)])
-            boundary = self.apply_differential(base)
-            correction = self.homotopy(n - 2, boundary)
-            result = base - correction
             lead = TensorTerm(prefix, tail)
+            base = ModuleElement(n - 1, {lead: self.field.one})
+            # a boundary by construction, so the lift skips the cycle check
+            boundary = self.apply_differential(base)
+            if n == 2:
+                correction = self.i0(boundary)
+            else:
+                correction = self._lift(n - 2, boundary)
+            result = base - correction
             ckey = self.order.key(chain.word)
             assert result.terms.get(lead) == self.field.one, \
                 "leading coefficient drifted"
             for t in result.terms:
                 assert t == lead or self.basis_key(t) < ckey, \
                     "differential tail must sit below the chain word"
-            if self.debug and n >= 2:
+            if self.debug:
                 assert not self.apply_differential(result), \
                     "d d != 0 at degree %d" % n
         self._d_cache[key] = result
@@ -263,11 +271,10 @@ class ResolutionEngine:
         """Extend d over a whole element by right-linearity."""
         if elem.degree < 1:
             raise ValueError("no differential below degree 1")
-        out = self.zero(elem.degree - 1)
+        out = {}
         for t, c in elem.terms.items():
-            img = self.act(self.differential(t.chain), t.word)
-            out = out + img.scale(c)
-        return out
+            self._act_into(out, self.differential(t.chain), t.word, c)
+        return ModuleElement(elem.degree - 1, out)
 
     # ---- contracting homotopy ----
 
@@ -277,36 +284,23 @@ class ResolutionEngine:
             raise ValueError("i0 applies to degree-0 elements")
         if self.epsilon(elem):
             raise NotInKernel("element has nonzero augmentation")
-        out = {}
+        pairs = []
         for t, c in elem.terms.items():
             s = t.word
-            prefix_val = self.field.one
+            # c times the augmentation of the prefix s[:j]
+            coeff = c
             for j in range(len(s)):
-                coeff = c * prefix_val
-                if coeff:
-                    letter_chain = self.chain_with_word(1, (s[j],))
-                    nt = TensorTerm(letter_chain, s[j + 1:])
-                    nc = out.get(nt, 0) + coeff
-                    if nc:
-                        out[nt] = nc
-                    else:
-                        out.pop(nt, None)
-                prefix_val = prefix_val * self.word_eval((s[j],))
-                if not prefix_val:
+                letter_chain = self.chain_with_word(1, (s[j],))
+                pairs.append((TensorTerm(letter_chain, s[j + 1:]), coeff))
+                coeff = coeff * self.word_eval((s[j],))
+                if not coeff:
                     break
-        return ModuleElement(1, out)
-
-    def _canon(self, n, elem):
-        items = sorted(elem.terms.items(),
-                       key=lambda kv: self.basis_key(kv[0]), reverse=True)
-        return (n,) + tuple((t.chain.word, t.word, c) for t, c in items)
+        return ModuleElement(1, axpy({}, pairs))
 
     def homotopy(self, n, elem):
         """i_n: a right inverse of d_{n+1} on the kernel of d_n.
 
-        Peels the leading term, locates the obstruction completing it to a
-        degree n+1 chain, and recurses on the remainder; the leading word
-        strictly decreases, which is also enforced as a guard.
+        Raises NotInKernel when elem is not a d_n cycle.
         """
         if n == 0:
             return self.i0(elem)
@@ -314,21 +308,23 @@ class ResolutionEngine:
             raise ValueError("degree mismatch")
         if elem and self.apply_differential(elem):
             raise NotInKernel("element is not a d_%d cycle" % n)
+        return self._lift(n, elem)
+
+    def _lift(self, n, elem):
+        """i_n for n >= 1 on an element already known to be a cycle.
+
+        Peels the leading term, locates the obstruction completing it to a
+        degree n+1 chain, and subtracts that chain's image from the rest;
+        the leading word strictly decreases, which is also enforced as a
+        guard, so every term of the result is emitted once.
+        """
         obs_words = self.obstruction_set.words
-        contributions = []
-        keys = []
-        tail = None
-        work = elem
+        out = {}
+        work = dict(elem.terms)
         prev_key = None
         guard = 0
         while work:
-            ck = self._canon(n, work)
-            memo = self._i_memo.get(ck)
-            if memo is not None:
-                tail = memo
-                break
-            keys.append(ck)
-            lead_word, term, coeff = self.module_lm(work)
+            lead_word, term, coeff = self.module_lm(ModuleElement(n, work))
             lk = self.order.key(lead_word)
             if prev_key is not None and not lk < prev_key:
                 raise NonTermination(
@@ -355,22 +351,15 @@ class ResolutionEngine:
                     "%s is not a degree-%d chain word"
                     % (self.algebra.word_str(w[:end]), n + 1))
             tword = w[end:]
-            contributions.append((TensorTerm(cnew, tword), coeff))
-            step = self.act(self.differential(cnew), tword)
-            work = work - step.scale(coeff)
+            out[TensorTerm(cnew, tword)] = coeff
+            self._act_into(work, self.differential(cnew), tword, -coeff)
             guard += 1
             if guard > 100000:
                 raise NonTermination("iteration cap reached at degree %d" % n)
-            if self.debug and work and self.apply_differential(work):
+            if self.debug and work and self.apply_differential(
+                    ModuleElement(n, work)):
                 raise NotInKernel("cycle condition lost mid-recursion")
-        if tail is None:
-            tail = self.zero(n + 1)
-        suffix = tail
-        for i in range(len(contributions) - 1, -1, -1):
-            t, c = contributions[i]
-            suffix = suffix + ModuleElement(n + 1, {t: c})
-            self._i_memo[keys[i]] = suffix
-        return suffix
+        return ModuleElement(n + 1, out)
 
     # ---- reports ----
 

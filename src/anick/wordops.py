@@ -1,25 +1,52 @@
-"""Word kernel selection: compiled extension if available, pure Python otherwise.
+"""Word matching kernels.
 
-Set ANICK_PURE_PYTHON=1 to force the fallback.
+Words are tuples of letter indices. These functions are the inner loops of
+normal-form reduction and chain-graph construction.
 """
 
-import os
 
-if os.environ.get("ANICK_PURE_PYTHON") == "1":
-    from . import _wordops_py as _impl
+def find_subword(w, u):
+    """Leftmost start index of u inside w, or -1. The empty word matches at 0."""
+    m = len(u)
+    if m == 0:
+        return 0
+    n = len(w)
+    for i in range(n - m + 1):
+        if w[i:i + m] == u:
+            return i
+    return -1
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _wordops as _impl
 
-        BACKEND = "c"
-    except ImportError:
-        from . import _wordops_py as _impl
+def first_match(w, patterns):
+    """Leftmost occurrence of any pattern in w as (pos, pattern_index).
 
-        BACKEND = "python"
+    Ties at the same position break toward the lowest pattern index.
+    Returns (-1, -1) when nothing matches.
+    """
+    n = len(w)
+    for i in range(n + 1):
+        for k, u in enumerate(patterns):
+            m = len(u)
+            if i + m <= n and w[i:i + m] == u:
+                return (i, k)
+    return (-1, -1)
 
-find_subword = _impl.find_subword
-first_match = _impl.first_match
-all_matches = _impl.all_matches
-is_normal = _impl.is_normal
+
+def all_matches(w, patterns):
+    """Every occurrence of every pattern in w as (pos, pattern_index) pairs.
+
+    Sorted by position, then pattern index.
+    """
+    n = len(w)
+    out = []
+    for i in range(n + 1):
+        for k, u in enumerate(patterns):
+            m = len(u)
+            if i + m <= n and w[i:i + m] == u:
+                out.append((i, k))
+    return out
+
+
+def is_normal(w, patterns):
+    """True when w contains no pattern as a subword."""
+    return first_match(w, patterns) == (-1, -1)

@@ -116,6 +116,14 @@ def test_resolve_show_homotopy(capsys):
     assert "i1(d2(xxx)) = [xxx | 1]" in out.splitlines()
 
 
+def test_resolve_high_degree_stays_flat(capsys):
+    # d_n is built from the lower differentials; they are filled in
+    # ascending degree, so a high degree does not exhaust the call stack
+    code, out, _ = run(capsys, "resolve", IDEMPOTENT, "--degree", "500")
+    assert code == 0
+    assert out == "d500(%s) = [%s | x]\n" % ("x" * 500, "x" * 499)
+
+
 def test_resolve_gated_without_complete(capsys):
     code, out, err = run(capsys, "resolve", NONCONFLUENT, "--degree", "2")
     assert code == 2

@@ -223,6 +223,16 @@ def test_two_engines_agree(running_presentation):
         assert differentials(a, n) == differentials(b, n)
 
 
+def test_debug_checks_pass_and_agree(running_presentation, running_engine):
+    # debug adds the d d = 0 check on every differential and the cycle
+    # check at every step of the lift; neither may change a value
+    eng = ResolutionEngine.from_presentation(running_presentation,
+                                             debug=True)
+    for n in range(1, 7):
+        assert differentials(eng, n) == differentials(running_engine, n)
+    assert all(r.ok for r in eng.verify_complex(6))
+
+
 # ---- diagnostics ----
 
 def test_minimality_diagnostic(running_engine):

@@ -1,15 +1,29 @@
-"""The compiled subword kernels must agree with the pure-Python reference."""
+"""The subword kernels agree with a brute-force slicing reference."""
 
 import random
 
-import pytest
-
-from anick import _wordops_py
 from anick import wordops
 
 
-def test_backend_selected():
-    assert wordops.BACKEND in ("c", "python")
+def ref_occurrences(w, patterns):
+    """Every (pos, pattern_index) with w[pos:pos + len(u)] == u, sorted."""
+    return sorted((i, k) for k, u in enumerate(patterns)
+                  for i in range(len(w) - len(u) + 1)
+                  if w[i:i + len(u)] == u)
+
+
+def ref_find_subword(w, u):
+    return next((i for i in range(len(w) - len(u) + 1)
+                 if w[i:i + len(u)] == u), -1)
+
+
+def check_against_reference(w, pats):
+    occ = ref_occurrences(w, pats)
+    for u in pats or ((),):
+        assert wordops.find_subword(w, u) == ref_find_subword(w, u)
+    assert wordops.first_match(w, pats) == (occ[0] if occ else (-1, -1))
+    assert wordops.all_matches(w, pats) == occ
+    assert wordops.is_normal(w, pats) == (not occ)
 
 
 def test_find_subword_basics():
@@ -53,27 +67,20 @@ def test_is_normal_basics():
     assert wordops.is_normal((), pats)
 
 
-compiled = pytest.importorskip("anick._wordops")
-
-
 def random_word(rng, n_letters, max_len):
     return tuple(rng.randrange(n_letters) for _ in range(rng.randrange(max_len + 1)))
 
 
-def test_backend_parity_random():
+def test_random_words_match_reference():
     rng = random.Random(11)
     for _ in range(2000):
         n_letters = rng.choice([1, 2, 3, 5])
         w = random_word(rng, n_letters, 14)
         pats = tuple(random_word(rng, n_letters, 5) for _ in range(rng.randrange(4)))
-        assert compiled.find_subword(w, pats[0] if pats else ()) == \
-            _wordops_py.find_subword(w, pats[0] if pats else ())
-        assert compiled.first_match(w, pats) == _wordops_py.first_match(w, pats)
-        assert compiled.all_matches(w, pats) == _wordops_py.all_matches(w, pats)
-        assert compiled.is_normal(w, pats) == _wordops_py.is_normal(w, pats)
+        check_against_reference(w, pats)
 
 
-def test_backend_parity_edges():
+def test_edge_cases_match_reference():
     cases = [
         ((), ()),
         ((), ((0,),)),
@@ -81,15 +88,7 @@ def test_backend_parity_edges():
         ((0,), ((),)),
         ((0, 1, 0, 1, 0), ((0, 1), (1, 0))),
         (tuple([0] * 50), ((0, 0, 0),)),
+        (tuple(i % 3 for i in range(500)), ((2, 0, 1), (1, 2, 0, 1))),
     ]
     for w, pats in cases:
-        assert compiled.first_match(w, pats) == _wordops_py.first_match(w, pats)
-        assert compiled.all_matches(w, pats) == _wordops_py.all_matches(w, pats)
-        assert compiled.is_normal(w, pats) == _wordops_py.is_normal(w, pats)
-
-
-def test_long_word_heap_path():
-    # words longer than the stack buffer go through the malloc path
-    w = tuple(i % 3 for i in range(500))
-    pats = ((2, 0, 1), (1, 2, 0, 1))
-    assert compiled.all_matches(w, pats) == _wordops_py.all_matches(w, pats)
+        check_against_reference(w, pats)
