@@ -15,7 +15,7 @@ from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
 from .groebner import (CheckReport, NormalWordAutomaton, Overlap,
                        Presentation, RewriteSystem, check_groebner, complete,
                        leading_monomials_oracle, overlaps)
-from .resolution import ModuleElement, ResolutionEngine, TensorTerm
+from .resolution import ModuleElement, ResolutionEngine
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "ModuleElement", "MonomialOrder", "NonTermination", "NormalWordAutomaton",
     "NotAnAntichain", "NotAnOim", "NotGroebner", "NotInKernel", "NotMinimal",
     "ObstructionSet", "Overlap", "Polynomial", "Presentation", "PrimeField",
-    "QQ", "RationalField", "ResolutionEngine", "RewriteSystem", "TensorTerm",
+    "QQ", "RationalField", "ResolutionEngine", "RewriteSystem",
     "ZeroElement", "ZeroPolynomial", "antichain_from_oim",
     "bracket_prefix", "bracket_tail", "build_chain_graph", "check_groebner",
     "complete", "enumerate_chains", "enumerate_prechains", "find_subword",

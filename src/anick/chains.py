@@ -16,10 +16,7 @@ class ObstructionSet:
         for w in ws:
             if len(w) < 2:
                 raise ValueError("obstruction %r shorter than 2" % (w,))
-        for u in ws:
-            for w in ws:
-                if u != w and wordops.find_subword(w, u) >= 0:
-                    raise NotAnAntichain("%r is a subword of %r" % (u, w))
+        _check_antichain(ws)
         self.words = tuple(ws)
 
     def __iter__(self):
@@ -36,6 +33,13 @@ class ObstructionSet:
 
     def __repr__(self):
         return "ObstructionSet(%r)" % (list(self.words),)
+
+
+def _check_antichain(words):
+    pair = wordops.subword_pair(words)
+    if pair is not None:
+        i, j = pair
+        raise NotAnAntichain("%r is a subword of %r" % (words[i], words[j]))
 
 
 def obstructions(rs):
@@ -56,11 +60,8 @@ def oim_from_antichain(poset, antichain):
     front = {tuple(w) for w in antichain}
     if not front <= universe:
         raise ValueError("anti-chain not contained in the poset")
-    for u in front:
-        for w in front:
-            if u != w and wordops.find_subword(w, u) >= 0:
-                raise NotAnAntichain("%r is a subword of %r" % (u, w))
     pats = tuple(sorted(front, key=lambda w: (len(w), w)))
+    _check_antichain(pats)
     return frozenset(y for y in universe if wordops.is_normal(y, pats))
 
 
@@ -122,7 +123,8 @@ def extend_chain(chain, node, witness):
                  chain.starts + (start,), chain.ends + (end,))
 
 
-def _cut(chain, m):
+def prefix_length(chain, m):
+    """Length of the word of the m-chain prefix of a chain of degree >= m."""
     if m == 0:
         return 0
     if m == 1:
@@ -139,7 +141,7 @@ def bracket_prefix(chain, m):
         return chain
     if m == 0:
         return identity_chain()
-    return Chain(m, chain.word[:_cut(chain, m)], chain.path[:m + 1],
+    return Chain(m, chain.word[:prefix_length(chain, m)], chain.path[:m + 1],
                  chain.starts[:max(m - 1, 0)], chain.ends[:max(m - 1, 0)])
 
 
@@ -148,7 +150,7 @@ def bracket_tail(chain, m):
     if not 0 <= m <= chain.degree:
         raise ValueError("no index-%d tail of a degree-%d chain"
                          % (m, chain.degree))
-    return chain.word[_cut(chain, m):]
+    return chain.word[prefix_length(chain, m):]
 
 
 def split_chain(chain):

@@ -87,14 +87,37 @@ class FpElement:
         return str(self.val)
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this
+# bound (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin test; raises ValueError at or above
+    _MR_LIMIT, where these bases no longer decide primality."""
+    if n >= _MR_LIMIT:
+        raise ValueError("modulus %d is too large; moduli below %d are "
+                         "supported" % (n, _MR_LIMIT))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -171,9 +194,16 @@ def field_from_json(data):
     """Build a field from its JSON description {"type": ...}."""
     if data is None:
         return QQ
+    if not isinstance(data, dict):
+        raise ValueError('field must be an object, such as '
+                         '{"type": "rational"}')
     kind = data.get("type")
     if kind == "rational":
         return QQ
     if kind == "prime":
-        return PrimeField(int(data["p"]))
+        p = data.get("p")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError("prime field modulus p must be an integer, "
+                             "got %r" % (p,))
+        return PrimeField(p)
     raise ValueError("unknown field type %r" % (kind,))

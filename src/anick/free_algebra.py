@@ -6,6 +6,7 @@ tuple is the unit word and prints as "1".
 """
 
 import re
+from operator import neg
 
 from . import wordops
 from .errors import ZeroPolynomial
@@ -104,32 +105,20 @@ class MonomialOrder:
         return "MonomialOrder(%r, weights=%r)" % (self.alphabet, list(self.weights))
 
     def weight(self, w):
-        wt = self.weights
-        return sum(wt[i] for i in w)
+        return sum(map(self.weights.__getitem__, w))
 
     def key(self, w):
         # equal-weight words are never prefixes of one another, so plain
-        # tuple comparison on negated indices realizes the precedence
-        return (self.weight(w), tuple(-i for i in w))
-
-    def compare(self, a, b):
-        """-1, 0 or 1 according to a < b, a == b, a > b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
+        # tuple comparison on negated indices realizes the precedence;
+        # inlined rather than calling weight(), since sorting and every
+        # leading-term search call this
+        return (sum(map(self.weights.__getitem__, w)), tuple(map(neg, w)))
 
 
 def find_subword(w, u):
     """Leftmost start index of u inside w, or None."""
     i = wordops.find_subword(w, u)
     return None if i < 0 else i
-
-
-def is_proper_subword(u, w):
-    return u != w and wordops.find_subword(w, u) >= 0
 
 
 def words_up_to_weight(alphabet, order, max_weight):

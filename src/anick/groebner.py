@@ -98,23 +98,34 @@ class Presentation:
             relations = data["relations"]
         except KeyError as exc:
             raise InvalidPresentation("missing key %s" % (exc,)) from None
+        for key, value in (("generators", generators),
+                           ("relations", relations)):
+            if not (isinstance(value, list)
+                    and all(isinstance(v, str) for v in value)):
+                raise InvalidPresentation("%s must be a list of strings"
+                                          % key)
         try:
             alphabet = Alphabet(generators)
             order = MonomialOrder(alphabet, data.get("weights"))
             field = field_from_json(data.get("field"))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidPresentation(str(exc)) from None
         algebra = FreeAlgebra(alphabet, order, field)
         aug = data.get("augmentation")
         if aug is not None:
+            if not isinstance(aug, dict):
+                raise InvalidPresentation("augmentation must be an object")
             unknown = set(aug) - set(alphabet.letters)
             if unknown:
                 raise InvalidPresentation("augmentation for unknown letters %s"
                                           % (sorted(unknown),))
         try:
             return cls(algebra, relations, aug)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidPresentation(str(exc)) from None
+        except ZeroDivisionError as exc:
+            raise InvalidPresentation("zero denominator in a coefficient: %s"
+                                      % (exc,)) from None
 
     @classmethod
     def load(cls, path):
@@ -139,19 +150,11 @@ class RewriteSystem:
         prepared.sort(key=lambda r: algebra.order.key(r.lm()), reverse=True)
         self.rules = tuple(prepared)
         self.leading_words = tuple(r.lm() for r in self.rules)
-        self.minimal = self._antichain()
+        self.minimal = wordops.subword_pair(self.leading_words) is None
         self.reduced = self.minimal and self._tails_normal()
         self.verified_to_degree = verified_to_degree
         self._nf_cache = {}
         self._automaton = None
-
-    def _antichain(self):
-        lms = self.leading_words
-        for i, u in enumerate(lms):
-            for j, w in enumerate(lms):
-                if i != j and wordops.find_subword(w, u) >= 0:
-                    return False
-        return True
 
     def _tails_normal(self):
         for r in self.rules:

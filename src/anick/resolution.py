@@ -5,23 +5,20 @@ import time
 from dataclasses import dataclass
 
 from . import wordops
-from .chains import (ChainGraph, bracket_prefix, bracket_tail, enumerate_chains,
-                     identity_chain, obstructions)
+from .chains import ChainGraph, enumerate_chains, obstructions, prefix_length
 from .errors import NonTermination, NotGroebner, NotInKernel, ZeroElement
 from .free_algebra import axpy
 from .groebner import RewriteSystem, check_groebner, complete
 
 
-@dataclass(frozen=True)
-class TensorTerm:
-    """Basis element chain (x) normal word."""
-
-    chain: object
-    word: tuple
-
-
 class ModuleElement:
-    """Finite combination of TensorTerms of one homological degree."""
+    """Finite combination of basis elements chain (x) normal word of one
+    homological degree.
+
+    terms maps the pair (chain word, normal word) to a nonzero coefficient;
+    the chain word names the chain, since chains of one degree have
+    distinct words.
+    """
 
     __slots__ = ("degree", "terms")
 
@@ -125,9 +122,13 @@ class ResolutionEngine:
             self._chain_index[degree] = {c.word: c for c in cs}
         return self._chains[degree]
 
-    def chain_with_word(self, degree, word):
+    def _index(self, degree):
+        """{chain word: chain} over the chains of one degree."""
         self.chains(degree)
-        return self._chain_index[degree].get(tuple(word))
+        return self._chain_index[degree]
+
+    def chain_with_word(self, degree, word):
+        return self._index(degree).get(tuple(word))
 
     # ---- element constructors ----
 
@@ -142,7 +143,7 @@ class ResolutionEngine:
                 word = self.algebra.word(word)
             c = self.field(coeff)
             if c:
-                pairs.append((TensorTerm(chain, tuple(word)), c))
+                pairs.append(((chain.word, tuple(word)), c))
         return ModuleElement(degree, axpy({}, pairs))
 
     def basis_element(self, degree, chain_word, word="1", coeff=1):
@@ -157,18 +158,12 @@ class ResolutionEngine:
     # ---- order on the tensor basis ----
 
     def basis_key(self, term):
-        return self.order.key(term.chain.word + term.word)
-
-    def basis_compare(self, t1, t2):
-        k1, k2 = self.basis_key(t1), self.basis_key(t2)
-        if k1 < k2:
-            return -1
-        if k1 > k2:
-            return 1
-        return 0
+        chain_word, word = term
+        return self.order.key(chain_word + word)
 
     def module_lm(self, elem):
-        """Leading (word, term, coeff) of a nonzero element."""
+        """Leading (word, term, coeff) of a nonzero element; word is the
+        chain word followed by the normal word of term."""
         if not elem.terms:
             raise ZeroElement("zero element has no leading term")
         best = None
@@ -181,7 +176,7 @@ class ResolutionEngine:
             elif k == best_key:
                 tie = True
         assert not tie, "distinct basis terms share a word; basis order broken"
-        return best.chain.word + best.word, best, elem.terms[best]
+        return best[0] + best[1], best, elem.terms[best]
 
     # ---- scalars ----
 
@@ -193,8 +188,8 @@ class ResolutionEngine:
         if elem.degree != 0:
             raise ValueError("epsilon applies to degree-0 elements")
         total = self.field.zero
-        for t, c in elem.terms.items():
-            total = total + c * self.word_eval(t.word)
+        for (_, w), c in elem.terms.items():
+            total = total + c * self.word_eval(w)
         return total
 
     # ---- module structure ----
@@ -210,10 +205,9 @@ class ResolutionEngine:
         if not word:
             return axpy(acc, elem.terms.items(), c)
         nf = self.rs.normal_form_word
-        for t, m in elem.terms.items():
-            chain = t.chain
-            axpy(acc, ((TensorTerm(chain, v), k)
-                       for v, k in nf(t.word + word).terms.items()), c * m)
+        for (cw, w), m in elem.terms.items():
+            axpy(acc, (((cw, v), k) for v, k in nf(w + word).terms.items()),
+                 c * m)
         return acc
 
     # ---- differentials ----
@@ -238,15 +232,14 @@ class ResolutionEngine:
                 self.differential(c)
             self._filled_degree += 1
         if n == 1:
-            terms = {TensorTerm(identity_chain(), chain.word): self.field.one}
+            terms = {((), chain.word): self.field.one}
             eps = self.word_eval(chain.word)
             if eps:
-                terms[TensorTerm(identity_chain(), ())] = -eps
+                terms[((), ())] = -eps
             result = ModuleElement(0, terms)
         else:
-            prefix = bracket_prefix(chain, n - 1)
-            tail = bracket_tail(chain, n - 1)
-            lead = TensorTerm(prefix, tail)
+            cut = prefix_length(chain, n - 1)
+            lead = (chain.word[:cut], chain.word[cut:])
             base = ModuleElement(n - 1, {lead: self.field.one})
             # a boundary by construction, so the lift skips the cycle check
             boundary = self.apply_differential(base)
@@ -271,9 +264,10 @@ class ResolutionEngine:
         """Extend d over a whole element by right-linearity."""
         if elem.degree < 1:
             raise ValueError("no differential below degree 1")
+        index = self._index(elem.degree)
         out = {}
-        for t, c in elem.terms.items():
-            self._act_into(out, self.differential(t.chain), t.word, c)
+        for (cw, w), c in elem.terms.items():
+            self._act_into(out, self.differential(index[cw]), w, c)
         return ModuleElement(elem.degree - 1, out)
 
     # ---- contracting homotopy ----
@@ -285,13 +279,12 @@ class ResolutionEngine:
         if self.epsilon(elem):
             raise NotInKernel("element has nonzero augmentation")
         pairs = []
-        for t, c in elem.terms.items():
-            s = t.word
-            # c times the augmentation of the prefix s[:j]
+        for (_, s), c in elem.terms.items():
+            # c times the augmentation of the prefix s[:j]; the 1-chains
+            # are the letters
             coeff = c
             for j in range(len(s)):
-                letter_chain = self.chain_with_word(1, (s[j],))
-                pairs.append((TensorTerm(letter_chain, s[j + 1:]), coeff))
+                pairs.append((((s[j],), s[j + 1:]), coeff))
                 coeff = coeff * self.word_eval((s[j],))
                 if not coeff:
                     break
@@ -319,39 +312,39 @@ class ResolutionEngine:
         guard, so every term of the result is emitted once.
         """
         obs_words = self.obstruction_set.words
+        lower, upper = self._index(n), self._index(n + 1)
         out = {}
         work = dict(elem.terms)
         prev_key = None
         guard = 0
         while work:
-            lead_word, term, coeff = self.module_lm(ModuleElement(n, work))
+            lead_word, (cw, _), coeff = self.module_lm(ModuleElement(n, work))
             lk = self.order.key(lead_word)
             if prev_key is not None and not lk < prev_key:
                 raise NonTermination(
                     "leading word %s failed to decrease"
                     % self.algebra.word_str(lead_word))
             prev_key = lk
-            c0 = term.chain
-            cut = 0 if n == 1 else (1 if n == 2 else c0.ends[n - 3])
-            w = c0.word + term.word
-            pos, idx = wordops.first_match(w[cut:], obs_words)
+            cut = prefix_length(lower[cw], n - 1)
+            pos, idx = wordops.first_match(lead_word[cut:], obs_words)
             if pos < 0:
                 raise NonTermination(
                     "no obstruction occurrence in the reducible part of %s; "
-                    "input was outside the kernel" % self.algebra.word_str(w))
+                    "input was outside the kernel"
+                    % self.algebra.word_str(lead_word))
             start = cut + pos
             end = start + len(obs_words[idx])
-            if not (start < len(c0.word) < end):
+            if not (start < len(cw) < end):
                 raise NonTermination(
                     "obstruction occurrence in %s does not straddle the "
-                    "chain boundary" % self.algebra.word_str(w))
-            cnew = self.chain_with_word(n + 1, w[:end])
+                    "chain boundary" % self.algebra.word_str(lead_word))
+            cnew = upper.get(lead_word[:end])
             if cnew is None:
                 raise NonTermination(
                     "%s is not a degree-%d chain word"
-                    % (self.algebra.word_str(w[:end]), n + 1))
-            tword = w[end:]
-            out[TensorTerm(cnew, tword)] = coeff
+                    % (self.algebra.word_str(lead_word[:end]), n + 1))
+            tword = lead_word[end:]
+            out[(cnew.word, tword)] = coeff
             self._act_into(work, self.differential(cnew), tword, -coeff)
             guard += 1
             if guard > 100000:
@@ -394,10 +387,10 @@ class ResolutionEngine:
             row_index = {c.word: i for i, c in enumerate(rows)}
             mat = [[self.field.zero for _ in cols] for _ in rows]
             for j, c in enumerate(cols):
-                for t, coeff in self.differential(c).terms.items():
-                    val = coeff * self.word_eval(t.word)
+                for (cw, w), coeff in self.differential(c).terms.items():
+                    val = coeff * self.word_eval(w)
                     if val:
-                        i = row_index[t.chain.word]
+                        i = row_index[cw]
                         mat[i][j] = mat[i][j] + val
             nonzero = any(any(bool(e) for e in r) for r in mat)
             out[n] = {"rows": [c.word for c in rows],
@@ -416,10 +409,10 @@ class ResolutionEngine:
         terms = sorted(elem.terms.items(),
                        key=lambda kv: self.basis_key(kv[0]), reverse=True)
         pieces = []
-        for t, c in terms:
+        for (cw, w), c in terms:
             neg = getattr(c, "numerator", 1) < 0
             mag = -c if neg else c
-            body = "[%s | %s]" % (ws(t.chain.word), ws(t.word))
+            body = "[%s | %s]" % (ws(cw), ws(w))
             if mag != self.field.one:
                 body = "%s·%s" % (mag, body)
             if not pieces:

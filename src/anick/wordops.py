@@ -17,6 +17,19 @@ def find_subword(w, u):
     return -1
 
 
+def subword_pair(words):
+    """First (i, j) with i != j and words[i] a subword of words[j], or None.
+
+    Entries are compared by index, so a word listed twice is a subword of
+    its copy and the list is not an anti-chain.
+    """
+    for i, u in enumerate(words):
+        for j, w in enumerate(words):
+            if i != j and find_subword(w, u) >= 0:
+                return (i, j)
+    return None
+
+
 def first_match(w, patterns):
     """Leftmost occurrence of any pattern in w as (pos, pattern_index).
 

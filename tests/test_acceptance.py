@@ -140,7 +140,7 @@ def test_criterion_06_definitions_match():
                    for u in sub for w in sub if u != w):
                 antichains.append(sub)
 
-        def compare(alphabet, obs_words, long_candidates):
+        def definitions_agree(alphabet, obs_words, long_candidates):
             obs = anick.ObstructionSet(obs_words)
             graph = anick.build_chain_graph(obs, alphabet)
             n_letters = len(alphabet)
@@ -167,7 +167,7 @@ def test_criterion_06_definitions_match():
                 assert graph_side == scan_side, (obs_words, d)
 
         for sub in antichains:
-            compare(two, sub, long_candidates=False)
+            definitions_agree(two, sub, long_candidates=False)
 
         # 100 random anti-chains on three letters
         three = anick.Alphabet(["x", "y", "z"])
@@ -179,7 +179,7 @@ def test_criterion_06_definitions_match():
             for w in sorted(set(raw), key=len):
                 if all(anick.find_subword(w, u) is None for u in kept):
                     kept.append(w)
-            compare(three, kept, long_candidates=True)
+            definitions_agree(three, kept, long_candidates=True)
 
     checked(6, "graph chains equal top-down chains, degrees <= 5", 60, body)
 

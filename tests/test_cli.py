@@ -1,5 +1,6 @@
 """Command line behavior: output text, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 
@@ -12,6 +13,34 @@ RUNNING = str(ROOT / "presentations" / "running_example.json")
 NONCONFLUENT = str(ROOT / "presentations" / "non_confluent.json")
 IDEMPOTENT = str(ROOT / "presentations" / "idempotent_letter.json")
 MONOMIAL = str(ROOT / "presentations" / "monomial.json")
+
+# sha256 of stdout of `resolve --show-homotopy --degree 5` and of
+# `diagnose --degree 5` on each shipped presentation (with --complete for
+# the non-confluent one), recorded before the tensor basis was keyed by
+# word pairs
+STDOUT_DIGESTS = {
+    "idempotent_letter.json": (
+        "0262c1d5bfe521e1fe34d38c419176f8e3a5faaaecf98c3d12107618cf2c8b9f",
+        "0ed1ff11bb8c945e2497e38fc61ba09f4fcc1c50a251837dfe878e90352b9126"),
+    "monomial.json": (
+        "abfa6c587f73e10338bdb5afbba0ba9c55d69deae18a8858698f119cd106149e",
+        "678c8759b4e0ffbac6b9b972f31e3d549378653dfd210818c868cd924aec5e25"),
+    "non_confluent.json": (
+        "fcd5f77f25cdac263af8c50d1635927cd7ab59e7925d26b0cc4c9f98bd31762f",
+        "fd0ad0959a997d9cc4e2b8e1b50841119ff65730e695486adde99754731f56cd"),
+    "poly4.json": (
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "678c8759b4e0ffbac6b9b972f31e3d549378653dfd210818c868cd924aec5e25"),
+    "running_example.json": (
+        "2e624bac52135a1880aff195dcc299986e6d6ab225cd8b7a065e6ee040e6f44f",
+        "1b39dba7208168664f40fad4cf360b3fb7c1693cf800c50ff4a2c814e8d5ba92"),
+    "s3_group.json": (
+        "3e8684d20071e10288b4207698c0eebb375da60c014826da28ec33301cbe75bd",
+        "a1b15f4e9ee022ff322a64311166dcf1f67a55e446769f0057bb922e5a29675d"),
+    "s3_group_gf3.json": (
+        "be5a197a1d590982320b9165e509d75cfd6b68f75a4b1d35effed5a3fff1ca5b",
+        "408677b3894c2301ffd72c500213ff4de1e947f4f1d2bfcd2310968495bc4c9b"),
+}
 
 
 def run(capsys, *argv):
@@ -231,6 +260,40 @@ def test_bad_usage_exits_4(capsys):
         main(["no-such-command"])
     assert exc.value.code == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in (ROOT / "presentations").glob("*.json")))
+def test_stdout_digests(capsys, name):
+    path = str(ROOT / "presentations" / name)
+    extra = ["--complete"] if name == "non_confluent.json" else []
+    got = []
+    for argv in (["resolve", "--show-homotopy", "--degree", "5"],
+                 ["diagnose", "--degree", "5"]):
+        code, out, _ = run(capsys, *argv, path, *extra)
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == STDOUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("data", [
+    {"generators": ["x"], "relations": ["1/0*x*x"]},
+    {"generators": ["x"], "relations": ["x*x"],
+     "augmentation": {"x": "1/0"}},
+    {"generators": ["x"], "relations": [5]},
+    {"generators": ["x"], "relations": ["x*x"], "field": "rational"},
+    {"generators": ["x"], "relations": ["x*x"],
+     "field": {"type": "prime", "p": 10 ** 24 + 7}},
+], ids=["relation-1/0", "augmentation-1/0", "relation-int", "field-string",
+        "modulus-too-large"])
+def test_malformed_input_exits_4(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "gb-check", str(path))
+    assert code == 4
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_timings_only_on_stderr(capsys):

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import anick
 from anick import Alphabet, FreeAlgebra, MonomialOrder, ZeroPolynomial, words_up_to_weight
+from anick.fields import _is_prime
 
 XYZ = Alphabet(["x", "y", "z"])
 XY = Alphabet(["x", "y"])
@@ -175,6 +177,26 @@ def test_finite_field_elements():
         F(1) / F(0)
     with pytest.raises(ValueError):
         anick.GF(6)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_test_matches_trial_division():
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == \
+        [n for n in range(10 ** 4) if _trial_division_is_prime(n)]
+
+
+def test_prime_modulus_check_is_fast_and_exact():
+    t0 = time.perf_counter()
+    assert anick.GF(1000000000000000003).p == 1000000000000000003
+    assert time.perf_counter() - t0 < 1.0
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7,
+    # and a product of two large primes
+    for composite in (561, 3215031751, 1000000007 * 998244353):
+        with pytest.raises(ValueError):
+            anick.GF(composite)
 
 
 def test_finite_field_polynomials():
