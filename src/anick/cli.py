@@ -10,8 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import (AnickError, BoundExceeded, InvalidPresentation,
-                     NotGroebner)
+from .errors import AnickError, BoundExceeded, NotGroebner
 from .groebner import Presentation, RewriteSystem, check_groebner, complete
 from .resolution import ResolutionEngine
 
@@ -54,7 +53,7 @@ def _engine(pres, args):
 
 def _cmd_gb_check(pres, args):
     rs = RewriteSystem.from_presentation(pres)
-    bound = max(args.max_degree, rs.max_rule_weight())
+    bound = max(args.max_degree, rs.max_ambiguity_weight())
     rep = check_groebner(rs, bound)
     alg = pres.algebra
     rules = [alg.format(r) for r in rs.rules]
@@ -231,7 +230,8 @@ def _build_parser():
         p.add_argument("presentation", help="presentation JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-degree", type=int, default=7,
-                       help="weight bound for ambiguity checking")
+                       help="weight bound for completion; confluence "
+                            "checks cover every ambiguity")
         p.set_defaults(handler=func)
         return p
 
@@ -287,10 +287,7 @@ def main(argv=None):
     except NotGroebner as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    except (InvalidPresentation, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except AnickError as exc:
+    except (AnickError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     report.timings["seconds"] = time.perf_counter() - t0

@@ -87,12 +87,19 @@ class MonomialOrder:
         self.alphabet = alphabet
         if weights is None:
             wt = (1,) * len(alphabet)
+        elif isinstance(weights, dict):
+            unknown = set(weights) - set(alphabet.letters)
+            if unknown:
+                raise ValueError("weights for unknown letters %s"
+                                 % (sorted(unknown),))
+            wt = tuple(weights.get(name, 1) for name in alphabet.letters)
+        elif isinstance(weights, (list, tuple)):
+            wt = tuple(weights)
         else:
-            if isinstance(weights, dict):
-                wt = tuple(int(weights.get(name, 1)) for name in alphabet.letters)
-            else:
-                wt = tuple(int(e) for e in weights)
-        if len(wt) != len(alphabet) or any(e < 1 for e in wt):
+            raise ValueError("weights must be an object or a list")
+        if len(wt) != len(alphabet) or not all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 1
+                for e in wt):
             raise ValueError("weights must assign an integer >= 1 to each letter")
         self.weights = wt
 
@@ -220,8 +227,9 @@ class Polynomial:
     def monic(self):
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        inv = self.algebra.field.one / self.lc()
-        return self.scale(inv)
+        lc = self.lc()
+        one = self.algebra.field.one
+        return self if lc == one else self.scale(one / lc)
 
     def __repr__(self):
         return "<poly %s>" % (self.algebra.format(self),)

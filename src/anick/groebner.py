@@ -5,6 +5,7 @@ import hashlib
 import json
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import wordops
 from .errors import BoundExceeded, InvalidPresentation, ZeroPolynomial
@@ -52,16 +53,8 @@ class Presentation:
 
     def augmentation_eval(self, p):
         """Evaluate a polynomial at the augmentation point."""
-        aug = self.augmentation
-        total = self.algebra.field.zero
-        for w, c in p.terms.items():
-            v = c
-            for i in w:
-                v = v * aug[i]
-                if not v:
-                    break
-            total = total + v
-        return total
+        return sum((c * self.word_eval(w) for w, c in p.terms.items()),
+                   self.algebra.field.zero)
 
     def word_eval(self, w):
         """Augmentation value of a single word."""
@@ -140,36 +133,42 @@ class Presentation:
 class RewriteSystem:
     """Monic rules sorted by leading monomial, descending.
 
-    minimal / reduced are computed from the rules; verified_to_degree is
-    bookkeeping updated by check_groebner and complete.
+    Construction only prepares, sorts and indexes the rules; minimal and
+    reduced are derived from them on first use.
     """
 
-    def __init__(self, algebra, rules, verified_to_degree=0):
+    def __init__(self, algebra, rules):
         self.algebra = algebra
         prepared = [r.monic() for r in rules]
         prepared.sort(key=lambda r: algebra.order.key(r.lm()), reverse=True)
         self.rules = tuple(prepared)
         self.leading_words = tuple(r.lm() for r in self.rules)
-        self.minimal = wordops.subword_pair(self.leading_words) is None
-        self.reduced = self.minimal and self._tails_normal()
-        self.verified_to_degree = verified_to_degree
         self._nf_cache = {}
         self._automaton = None
 
-    def _tails_normal(self):
-        for r in self.rules:
-            lm = r.lm()
-            for w in r.terms:
-                if w != lm and not wordops.is_normal(w, self.leading_words):
-                    return False
-        return True
+    @cached_property
+    def minimal(self):
+        """True when no leading word is a subword of another."""
+        return wordops.subword_pair(self.leading_words) is None
+
+    @cached_property
+    def reduced(self):
+        """True when minimal and no tail word contains a leading word."""
+        lms = self.leading_words
+        return self.minimal and all(
+            wordops.is_normal(w, lms)
+            for r, lm in zip(self.rules, lms) for w in r.terms if w != lm)
 
     def max_rule_weight(self):
         weight = self.algebra.order.weight
         return max((weight(w) for w in self.leading_words), default=0)
 
-    def is_normal_word(self, w):
-        return wordops.is_normal(w, self.leading_words)
+    def max_ambiguity_weight(self):
+        """2 * max_rule_weight() - 1 (0 without rules): no ambiguity weighs
+        more, since a proper overlap of two leading words shares at least
+        one letter, of weight at least 1, and a containment weighs one
+        rule. A confluence check to this bound covers every ambiguity."""
+        return max(0, 2 * self.max_rule_weight() - 1)
 
     def one_step(self, word, pos, rule_index):
         """Rewrite the rule occurrence at pos in word once."""
@@ -280,29 +279,34 @@ class CheckReport:
     spoly_normal_form: object = None
 
 
+def _ambiguities(rs, max_degree):
+    """Yield (overlap, a, b) for each ambiguity of weight <= max_degree in
+    ascending weight; a and b are the normal forms of its two branches."""
+    weight = rs.algebra.order.weight
+    for ov in overlaps(rs):
+        if weight(ov.word) > max_degree:
+            break
+        a = rs.normal_form(rs.one_step(ov.word, ov.offset_j, ov.j))
+        b = rs.normal_form(rs.one_step(ov.word, ov.offset_i, ov.i))
+        yield ov, a, b
+
+
 def check_groebner(rs, max_degree):
     """Confluence check on every ambiguity word of weight <= max_degree.
 
-    On success sets rs.verified_to_degree; on failure reports the first
-    ambiguity word (in the order) whose two branch normal forms differ.
+    On failure reports the first ambiguity word (in the order) whose two
+    branch normal forms differ.
     """
     if max_degree < rs.max_rule_weight():
         raise ValueError("max_degree %d is below the largest rule weight %d"
                          % (max_degree, rs.max_rule_weight()))
-    weight = rs.algebra.order.weight
-    for ov in overlaps(rs):
-        if weight(ov.word) > max_degree:
-            continue
-        a = rs.normal_form(rs.one_step(ov.word, ov.offset_j, ov.j))
-        b = rs.normal_form(rs.one_step(ov.word, ov.offset_i, ov.i))
+    for ov, a, b in _ambiguities(rs, max_degree):
         if a != b:
             # ambiguities arrive in ascending weight, so everything strictly
             # below the failing word has already passed
-            return CheckReport(False, max(rs.verified_to_degree,
-                                          weight(ov.word) - 1),
+            return CheckReport(False, rs.algebra.order.weight(ov.word) - 1,
                                counterexample=ov.word, branches=(a, b),
                                spoly_normal_form=a - b)
-    rs.verified_to_degree = max(rs.verified_to_degree, max_degree)
     return CheckReport(True, max_degree)
 
 
@@ -347,23 +351,14 @@ def complete(rs, max_degree):
     rules = _interreduce(algebra, list(rs.rules))
     while True:
         current = RewriteSystem(algebra, rules)
-        candidates = []
-        for ov in overlaps(current):
-            if weight(ov.word) > max_degree:
-                continue
-            a = current.normal_form(current.one_step(ov.word, ov.offset_j, ov.j))
-            b = current.normal_form(current.one_step(ov.word, ov.offset_i, ov.i))
-            d = a - b
-            if d:
-                candidates.append(d.monic())
+        candidates = [(a - b).monic()
+                      for _, a, b in _ambiguities(current, max_degree)
+                      if a != b]
         if not candidates:
-            break
+            return current
         candidates.sort(key=lambda p: (keyf(p.lm()), algebra.format(p)))
         rules.append(candidates[0])
         rules = _interreduce(algebra, rules)
-    done = RewriteSystem(algebra, rules)
-    done.verified_to_degree = max_degree
-    return done
 
 
 class NormalWordAutomaton:

@@ -96,13 +96,17 @@ class ResolutionEngine:
     @classmethod
     def from_presentation(cls, pres, max_degree=7, complete_system=False,
                           debug=False):
-        """Build the engine after verifying (or completing) the relations."""
+        """Build the engine after verifying (or completing) the relations.
+
+        max_degree bounds completion; the confluence check covers every
+        ambiguity whatever its weight.
+        """
         rs = RewriteSystem.from_presentation(pres)
-        bound = max(max_degree, rs.max_rule_weight())
         if complete_system:
-            rs = complete(rs, bound)
+            rs = complete(rs, max(max_degree, rs.max_rule_weight()))
         else:
-            report = check_groebner(rs, bound)
+            report = check_groebner(
+                rs, max(max_degree, rs.max_ambiguity_weight()))
             if not report.ok:
                 word = pres.algebra.word_str(report.counterexample)
                 raise NotGroebner(

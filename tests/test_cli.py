@@ -69,6 +69,23 @@ def test_gb_check_counterexample(capsys):
     ]
 
 
+def test_check_covers_ambiguities_above_max_degree(capsys, tmp_path):
+    # both leading words weigh 5; the failing ambiguity weighs 8, above the
+    # default --max-degree 7
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({
+        "generators": ["x", "y"],
+        "relations": ["x*x*x*x*y - x*y*x*x*y", "y*x*y*x*x - y*y*x*y*x"]}))
+    code, out, _ = run(capsys, "gb-check", str(path))
+    assert code == 2
+    assert out.splitlines()[:2] == ["status: not-groebner",
+                                    "counterexample: yxyxxxxy"]
+    code, out, err = run(capsys, "resolve", str(path), "--degree", "3")
+    assert code == 2
+    assert not out
+    assert "not confluent" in err and "yxyxxxxy" in err
+
+
 def test_gb_complete(capsys):
     code, out, _ = run(capsys, "gb-complete", NONCONFLUENT)
     assert code == 0
@@ -284,8 +301,14 @@ def test_stdout_digests(capsys, name):
     {"generators": ["x"], "relations": ["x*x"], "field": "rational"},
     {"generators": ["x"], "relations": ["x*x"],
      "field": {"type": "prime", "p": 10 ** 24 + 7}},
+    {"generators": ["x", "y"], "relations": ["x*y"], "weights": {"x": 2.5}},
+    {"generators": ["x", "y"], "relations": ["x*y"], "weights": {"x": True}},
+    {"generators": ["x", "y"], "relations": ["x*y"], "weights": {"x": "2"}},
+    {"generators": ["x", "y"], "relations": ["x*y"], "weights": {"z": 3}},
+    {"generators": ["x", "y"], "relations": ["x*y"], "weights": 0.0},
 ], ids=["relation-1/0", "augmentation-1/0", "relation-int", "field-string",
-        "modulus-too-large"])
+        "modulus-too-large", "weight-float", "weight-bool", "weight-string",
+        "weight-unknown-letter", "weights-number"])
 def test_malformed_input_exits_4(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
