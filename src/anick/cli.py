@@ -193,15 +193,11 @@ def _cmd_diagnose(pres, args):
     bad = []
     for n in sorted(diag):
         info = diag[n]
-        entries = []
-        for i, row in enumerate(info["rows"]):
-            for j, col in enumerate(info["cols"]):
-                val = info["matrix"][i][j]
-                if val:
-                    entries.append({"row": ws(row), "col": ws(col),
-                                    "value": str(val)})
-        degrees.append({"degree": n, "rows": [ws(w) for w in info["rows"]],
-                        "cols": [ws(w) for w in info["cols"]],
+        rows, cols = info["rows"], info["cols"]
+        entries = [{"row": ws(rows[i]), "col": ws(cols[j]), "value": str(val)}
+                   for (i, j), val in info["entries"].items()]
+        degrees.append({"degree": n, "rows": [ws(w) for w in rows],
+                        "cols": [ws(w) for w in cols],
                         "entries": entries, "nonzero": info["nonzero"]})
         text.append("degree %d: %s"
                     % (n, "nonzero" if info["nonzero"] else "zero"))

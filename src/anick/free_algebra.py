@@ -164,6 +164,21 @@ def axpy(acc, items, c=1):
     return acc
 
 
+def format_signed_sum(terms, body):
+    """Render (key, coeff) pairs, in the given order, as "a - b + c": each
+    term is body(key, magnitude), with the sign of a negative coefficient
+    pulled out in front. An empty sum renders as "0"."""
+    pieces = []
+    for k, c in terms:
+        neg = getattr(c, "numerator", 1) < 0
+        text = body(k, -c if neg else c)
+        if pieces:
+            pieces.append(("- " if neg else "+ ") + text)
+        else:
+            pieces.append("-" + text if neg else text)
+    return " ".join(pieces) if pieces else "0"
+
+
 class Polynomial:
     """Finite coefficient map word -> nonzero scalar."""
 
@@ -334,22 +349,15 @@ class FreeAlgebra:
 
     def format(self, p):
         """Canonical text form: terms descending in the order, * separated."""
-        if not p.terms:
-            return "0"
-        words = sorted(p.terms, key=self.order.key, reverse=True)
-        pieces = []
-        for w in words:
-            c = p.terms[w]
-            neg = getattr(c, "numerator", 1) < 0
-            mag = -c if neg else c
+        one = self.field.one
+        word_str = self.alphabet.word_str
+
+        def body(w, mag):
             if not w:
-                body = str(mag)
-            elif mag == self.field.one:
-                body = self.alphabet.word_str(w, sep="*")
-            else:
-                body = "%s*%s" % (mag, self.alphabet.word_str(w, sep="*"))
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+                return str(mag)
+            if mag == one:
+                return word_str(w, sep="*")
+            return "%s*%s" % (mag, word_str(w, sep="*"))
+        terms = sorted(p.terms.items(), key=lambda kv: self.order.key(kv[0]),
+                       reverse=True)
+        return format_signed_sum(terms, body)

@@ -139,10 +139,11 @@ class RewriteSystem:
 
     def __init__(self, algebra, rules):
         self.algebra = algebra
-        prepared = [r.monic() for r in rules]
-        prepared.sort(key=lambda r: algebra.order.key(r.lm()), reverse=True)
-        self.rules = tuple(prepared)
-        self.leading_words = tuple(r.lm() for r in self.rules)
+        keyf = algebra.order.key
+        pairs = sorted(((r.lm(), r) for r in map(Polynomial.monic, rules)),
+                       key=lambda pair: keyf(pair[0]), reverse=True)
+        self.leading_words = tuple(lm for lm, _ in pairs)
+        self.rules = tuple(r for _, r in pairs)
         self._nf_cache = {}
         self._automaton = None
 
@@ -435,39 +436,22 @@ class NormalWordAutomaton:
                         stack.append((w + (a,), t))
         return out
 
-    def transfer_matrix(self):
-        """M[s][t] = number of letters moving live state s to live state t."""
-        n = self.n_states
-        mat = [[0] * n for _ in range(n)]
-        for s in range(n):
-            if self.dead[s]:
-                continue
-            for a in range(self.n_letters):
-                t = self.transitions[s][a]
-                if t >= 0:
-                    mat[s][t] += 1
-        return mat
-
     def counts(self, max_length):
         """Number of accepted words of each length 0..max_length, computed by
-        iterating the transfer matrix on the start vector."""
+        stepping the count vector from the start state along the
+        transitions."""
         if self.dead[0]:
             return [0] * (max_length + 1)
-        mat = self.transfer_matrix()
-        n = self.n_states
-        vec = [0] * n
+        vec = [0] * self.n_states
         vec[0] = 1
         out = [1]
         for _ in range(max_length):
-            nxt = [0] * n
-            for s in range(n):
-                c = vec[s]
-                if not c:
-                    continue
-                row = mat[s]
-                for t in range(n):
-                    if row[t]:
-                        nxt[t] += c * row[t]
+            nxt = [0] * self.n_states
+            for s, c in enumerate(vec):
+                if c:
+                    for t in self.transitions[s]:
+                        if t >= 0:
+                            nxt[t] += c
             vec = nxt
             out.append(sum(vec))
         return out

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from . import wordops
 from .chains import ChainGraph, enumerate_chains, obstructions, prefix_length
 from .errors import NonTermination, NotGroebner, NotInKernel, ZeroElement
-from .free_algebra import axpy
+from .free_algebra import axpy, format_signed_sum
 from .groebner import RewriteSystem, check_groebner, complete
 
 
@@ -382,45 +382,37 @@ class ResolutionEngine:
         """Apply the augmentation to the module coordinates of each d_n.
 
         A nonzero entry at degree n certifies the resolution is not minimal
-        there. Returns {degree: {"rows", "cols", "matrix", "nonzero"}}.
+        there. Returns {degree: {"rows", "cols", "entries", "nonzero"}}:
+        rows and cols are the words of the (n-1)- and n-chains, entries
+        maps (row index, column index) to each nonzero value of eps(d_n),
+        keyed in row-major order, and nonzero is bool(entries).
         """
         out = {}
         for n in range(1, max_degree + 1):
             rows = self.chains(n - 1)
             cols = self.chains(n)
             row_index = {c.word: i for i, c in enumerate(rows)}
-            mat = [[self.field.zero for _ in cols] for _ in rows]
+            entries = {}
             for j, c in enumerate(cols):
-                for (cw, w), coeff in self.differential(c).terms.items():
-                    val = coeff * self.word_eval(w)
-                    if val:
-                        i = row_index[cw]
-                        mat[i][j] = mat[i][j] + val
-            nonzero = any(any(bool(e) for e in r) for r in mat)
+                vals = ((row_index[cw], coeff * self.word_eval(w))
+                        for (cw, w), coeff in self.differential(c).terms.items())
+                axpy(entries, (((i, j), v) for i, v in vals if v))
             out[n] = {"rows": [c.word for c in rows],
                       "cols": [c.word for c in cols],
-                      "matrix": mat,
-                      "nonzero": nonzero}
+                      "entries": dict(sorted(entries.items())),
+                      "nonzero": bool(entries)}
         return out
 
     # ---- rendering ----
 
     def format_element(self, elem):
         """Render with terms descending: coeff·[chainword | normalword]."""
-        if not elem.terms:
-            return "0"
         ws = self.algebra.word_str
+        one = self.field.one
+
+        def body(term, mag):
+            text = "[%s | %s]" % (ws(term[0]), ws(term[1]))
+            return text if mag == one else "%s·%s" % (mag, text)
         terms = sorted(elem.terms.items(),
                        key=lambda kv: self.basis_key(kv[0]), reverse=True)
-        pieces = []
-        for (cw, w), c in terms:
-            neg = getattr(c, "numerator", 1) < 0
-            mag = -c if neg else c
-            body = "[%s | %s]" % (ws(cw), ws(w))
-            if mag != self.field.one:
-                body = "%s·%s" % (mag, body)
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+        return format_signed_sum(terms, body)

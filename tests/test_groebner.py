@@ -3,6 +3,7 @@ and normal-word enumeration."""
 
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ import anick
 from anick import (Alphabet, BoundExceeded, FreeAlgebra, InvalidPresentation,
                    Presentation, RewriteSystem, check_groebner, complete,
                    leading_monomials_oracle, overlaps, wordops)
+
+PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
 
 def make_presentation(letters, relations, augmentation=None, field=anick.QQ):
@@ -249,6 +252,11 @@ def test_normal_words_listing(running_rs, running_presentation):
 
 def test_normal_word_counts(running_rs):
     assert running_rs.count_normal_words(3) == [1, 3, 9, 25]
+    # one normal word per element of S3: a finite language, so the count
+    # vector dies out
+    s3 = RewriteSystem.from_presentation(
+        Presentation.load(PRESENTATIONS / "s3_group.json"))
+    assert s3.count_normal_words(6) == [1, 2, 2, 1, 0, 0, 0]
 
 
 def test_counts_match_enumeration(running_rs):
@@ -274,13 +282,6 @@ def test_automaton_rejects_ideal_words(running_rs):
     aut = running_rs.automaton()
     for s in ["xxx", "xxyx", "yxz", "xxxx", "zxxyxz"]:
         assert not aut.accepts(running_rs.algebra.alphabet.word(s))
-
-
-def test_transfer_matrix_shape(running_rs):
-    aut = running_rs.automaton()
-    mat = aut.transfer_matrix()
-    assert len(mat) == len(mat[0])
-    assert all(isinstance(e, int) for row in mat for e in row)
 
 
 # ---- independent characterization of the leading-word set ----

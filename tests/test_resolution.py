@@ -241,14 +241,16 @@ def test_minimality_diagnostic(running_engine):
     assert not diag[2]["nonzero"]
     assert diag[3]["nonzero"]
     assert diag[4]["nonzero"]
+    assert all(set(d) == {"rows", "cols", "entries", "nonzero"}
+               for d in diag.values())
     ws = eng.algebra.word_str
     entries = {}
-    for n in (3, 4):
-        d = diag[n]
-        for i, row in enumerate(d["matrix"]):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(n, ws(d["rows"][i]), ws(d["cols"][j]))] = v
+    for n, d in diag.items():
+        assert d["nonzero"] == bool(d["entries"])
+        assert list(d["entries"]) == sorted(d["entries"])
+        for (i, j), v in d["entries"].items():
+            assert v
+            entries[(n, ws(d["rows"][i]), ws(d["cols"][j]))] = v
     assert entries == {
         (3, "xxyx", "xxyxz"): -1,
         (3, "xxyx", "xxxyx"): 1,
