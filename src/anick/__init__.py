@@ -12,10 +12,11 @@ from .errors import (AnickError, BoundExceeded, InvalidPresentation,
 from .fields import GF, QQ, FpElement, PrimeField, RationalField
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
                            find_subword, words_up_to_weight)
-from .groebner import (CheckReport, NormalWordAutomaton, Overlap,
-                       Presentation, RewriteSystem, check_groebner, complete,
-                       leading_monomials_oracle, overlaps)
+from .groebner import (CheckReport, Overlap, Presentation, RewriteSystem,
+                       check_groebner, complete, leading_monomials_oracle,
+                       overlaps)
 from .resolution import ModuleElement, ResolutionEngine
+from .wordops import NormalWordAutomaton
 
 __version__ = "0.1.0"
 

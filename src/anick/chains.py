@@ -3,21 +3,23 @@ the chain graph, and chain enumeration with placement tuples."""
 
 from dataclasses import dataclass
 
-from . import wordops
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
 from .free_algebra import MonomialOrder
+from .wordops import NormalWordAutomaton
 
 
 class ObstructionSet:
-    """Anti-chain of words under the subword order, each of length >= 2."""
+    """Anti-chain of words under the subword order, each of length >= 2,
+    with the automaton that finds their occurrences."""
 
     def __init__(self, words):
         ws = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
         for w in ws:
             if len(w) < 2:
                 raise ValueError("obstruction %r shorter than 2" % (w,))
-        _check_antichain(ws)
-        self.words = tuple(ws)
+        self.automaton = NormalWordAutomaton(ws)
+        _check_antichain(self.automaton)
+        self.words = self.automaton.patterns
 
     def __iter__(self):
         return iter(self.words)
@@ -35,10 +37,15 @@ class ObstructionSet:
         return "ObstructionSet(%r)" % (list(self.words),)
 
 
-def _check_antichain(words):
-    pair = wordops.subword_pair(words)
-    if pair is not None:
-        i, j = pair
+def _as_obstruction_set(words):
+    return words if isinstance(words, ObstructionSet) else ObstructionSet(words)
+
+
+def _check_antichain(automaton):
+    pairs = automaton.nested_pairs()
+    if pairs:
+        i, j = pairs[0]
+        words = automaton.patterns
         raise NotAnAntichain("%r is a subword of %r" % (words[i], words[j]))
 
 
@@ -60,9 +67,9 @@ def oim_from_antichain(poset, antichain):
     front = {tuple(w) for w in antichain}
     if not front <= universe:
         raise ValueError("anti-chain not contained in the poset")
-    pats = tuple(sorted(front, key=lambda w: (len(w), w)))
-    _check_antichain(pats)
-    return frozenset(y for y in universe if wordops.is_normal(y, pats))
+    automaton = NormalWordAutomaton(sorted(front, key=lambda w: (len(w), w)))
+    _check_antichain(automaton)
+    return frozenset(y for y in universe if automaton.accepts(y))
 
 
 def antichain_from_oim(poset, oim):
@@ -78,17 +85,9 @@ def antichain_from_oim(poset, oim):
                 if u != w and u in universe and u not in ideal:
                     raise NotAnOim("%r in the set but its subword %r is not"
                                    % (w, u))
-    comp = universe - ideal
-    out = set()
-    for y in comp:
-        minimal = True
-        for x in comp:
-            if x != y and wordops.find_subword(y, x) >= 0:
-                minimal = False
-                break
-        if minimal:
-            out.add(y)
-    return frozenset(out)
+    comp = NormalWordAutomaton(universe - ideal)
+    above = {j for _, j in comp.nested_pairs()}
+    return frozenset(y for j, y in enumerate(comp.patterns) if j not in above)
 
 
 @dataclass(frozen=True)
@@ -172,11 +171,11 @@ class ChainGraph:
     """
 
     def __init__(self, obstruction_set, alphabet):
-        if not isinstance(obstruction_set, ObstructionSet):
-            obstruction_set = ObstructionSet(obstruction_set)
+        obstruction_set = _as_obstruction_set(obstruction_set)
         self.obstructions = obstruction_set
         self.alphabet = alphabet
         obs = obstruction_set.words
+        all_matches = obstruction_set.automaton.all_matches
         nodes = {(i,) for i in range(len(alphabet))}
         for w in obs:
             for k in range(1, len(w)):
@@ -188,7 +187,7 @@ class ChainGraph:
             targets = []
             for t in ordered[1:]:
                 st = s + t
-                ms = wordops.all_matches(st, obs)
+                ms = all_matches(st)
                 if len(ms) == 1:
                     pos, k = ms[0]
                     if pos + len(obs[k]) == len(st):
@@ -254,10 +253,11 @@ def enumerate_chains(graph, degree, order=None):
     return chains
 
 
-def _occurrences(word, obs_words):
+def _occurrences(word, obstruction_set):
     """1-indexed (start, end) spans of obstruction occurrences, in order."""
-    ms = wordops.all_matches(tuple(word), obs_words)
-    return [(pos + 1, pos + len(obs_words[k])) for pos, k in ms]
+    automaton = obstruction_set.automaton
+    return [(pos + 1, pos + automaton.lengths[k])
+            for pos, k in automaton.all_matches(word)]
 
 
 def _placement_pairs(occs, n):
@@ -289,9 +289,7 @@ def is_prechain(word, n, obstruction_set):
     word = tuple(word)
     if n <= 1:
         return len(word) == n
-    obs = obstruction_set.words if isinstance(obstruction_set, ObstructionSet) \
-        else tuple(obstruction_set)
-    occs = _occurrences(word, obs)
+    occs = _occurrences(word, _as_obstruction_set(obstruction_set))
     levels = _placement_pairs(occs, n - 1)
     return any(b == len(word) for _, b in levels[n - 2])
 
@@ -334,9 +332,7 @@ def is_chain_top_down(word, n, obstruction_set):
     if n <= 1:
         return ((), ()) if len(word) == n else None
     k = n - 1
-    obs = obstruction_set.words if isinstance(obstruction_set, ObstructionSet) \
-        else tuple(obstruction_set)
-    occs = _occurrences(word, obs)
+    occs = _occurrences(word, _as_obstruction_set(obstruction_set))
     if not occs:
         return None
     placements = _full_placements(occs, k, len(word))
@@ -363,8 +359,7 @@ def enumerate_prechains(obstruction_set, n):
     if n < 2:
         raise ValueError("prechain generation needs degree >= 2")
     k = n - 1
-    obs = obstruction_set.words if isinstance(obstruction_set, ObstructionSet) \
-        else tuple(obstruction_set)
+    obs = _as_obstruction_set(obstruction_set).words
     out = set()
 
     def rec(word, prev_b, cur_b, m):

@@ -8,7 +8,6 @@ tuple is the unit word and prints as "1".
 import re
 from operator import neg
 
-from . import wordops
 from .errors import ZeroPolynomial
 from .fields import QQ
 
@@ -123,9 +122,13 @@ class MonomialOrder:
 
 
 def find_subword(w, u):
-    """Leftmost start index of u inside w, or None."""
-    i = wordops.find_subword(w, u)
-    return None if i < 0 else i
+    """Leftmost start index of u inside w, or None. The empty word matches
+    at 0."""
+    m = len(u)
+    for i in range(len(w) - m + 1):
+        if w[i:i + m] == u:
+            return i
+    return None
 
 
 def words_up_to_weight(alphabet, order, max_weight):

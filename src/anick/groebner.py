@@ -7,11 +7,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import wordops
 from .errors import BoundExceeded, InvalidPresentation, ZeroPolynomial
 from .fields import QQ, field_from_json
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
                            axpy, words_up_to_weight)
+from .wordops import NormalWordAutomaton
 
 
 class Presentation:
@@ -112,6 +112,10 @@ class Presentation:
             if unknown:
                 raise InvalidPresentation("augmentation for unknown letters %s"
                                           % (sorted(unknown),))
+            if any(isinstance(v, bool) or not isinstance(v, (int, str))
+                   for v in aug.values()):
+                raise InvalidPresentation(
+                    "augmentation values must be integers or strings")
         try:
             return cls(algebra, relations, aug)
         except (TypeError, ValueError) as exc:
@@ -150,15 +154,15 @@ class RewriteSystem:
     @cached_property
     def minimal(self):
         """True when no leading word is a subword of another."""
-        return wordops.subword_pair(self.leading_words) is None
+        return not self.automaton().nested_pairs()
 
     @cached_property
     def reduced(self):
         """True when minimal and no tail word contains a leading word."""
-        lms = self.leading_words
+        accepts = self.automaton().accepts
         return self.minimal and all(
-            wordops.is_normal(w, lms)
-            for r, lm in zip(self.rules, lms) for w in r.terms if w != lm)
+            accepts(w) for r, lm in zip(self.rules, self.leading_words)
+            for w in r.terms if w != lm)
 
     def max_rule_weight(self):
         weight = self.algebra.order.weight
@@ -189,12 +193,13 @@ class RewriteSystem:
             return cached
         keyf = self.algebra.order.key
         lms = self.leading_words
+        first_match = self.automaton().first_match
         pending = {w: self.algebra.field.one}
         normal = {}
         while pending:
             u = max(pending, key=keyf)
             c = pending.pop(u)
-            pos, ridx = wordops.first_match(u, lms)
+            pos, ridx = first_match(u)
             if pos < 0:
                 normal[u] = c
                 continue
@@ -218,8 +223,7 @@ class RewriteSystem:
 
     def automaton(self):
         if self._automaton is None:
-            self._automaton = NormalWordAutomaton(self.leading_words,
-                                                  len(self.algebra.alphabet))
+            self._automaton = NormalWordAutomaton(self.leading_words)
         return self._automaton
 
     def normal_words(self, max_length):
@@ -228,7 +232,8 @@ class RewriteSystem:
         if max_length < 0:
             raise ValueError("max_length must be nonnegative")
         weight = self.algebra.order.weight
-        out = self.automaton().language(max_length)
+        out = self.automaton().language(max_length,
+                                        len(self.algebra.alphabet))
         out.sort(key=lambda w: (weight(w), w))
         return out
 
@@ -236,7 +241,8 @@ class RewriteSystem:
         """Number of normal words of each length 0..max_length."""
         if max_length < 0:
             raise ValueError("max_length must be nonnegative")
-        return self.automaton().counts(max_length)
+        return self.automaton().counts(max_length,
+                                       len(self.algebra.alphabet))
 
     @classmethod
     def from_presentation(cls, pres):
@@ -256,17 +262,15 @@ def overlaps(rs):
     """
     lms = rs.leading_words
     weight = rs.algebra.order.weight
-    out = []
+    matches = rs.automaton().all_matches
+    out = [Overlap(i, j, t, p, 0)
+           for j, t in enumerate(lms) for p, i in matches(t) if i != j]
     for j, t in enumerate(lms):
         for i, s in enumerate(lms):
             for k in range(1, len(t)):
                 shared = len(t) - k
                 if shared < len(s) and t[k:] == s[:shared]:
                     out.append(Overlap(i, j, t + s[shared:], k, 0))
-            if i != j:
-                for p in range(len(t) - len(s) + 1):
-                    if t[p:p + len(s)] == s:
-                        out.append(Overlap(i, j, t, p, 0))
     out.sort(key=lambda ov: (weight(ov.word), ov.word, ov.i, ov.j, ov.offset_i))
     return out
 
@@ -360,101 +364,6 @@ def complete(rs, max_degree):
         candidates.sort(key=lambda p: (keyf(p.lm()), algebra.format(p)))
         rules.append(candidates[0])
         rules = _interreduce(algebra, rules)
-
-
-class NormalWordAutomaton:
-    """Deterministic automaton accepting exactly the words that avoid every
-    pattern as a subword (Aho-Corasick construction)."""
-
-    def __init__(self, patterns, n_letters):
-        self.patterns = tuple(tuple(p) for p in patterns)
-        self.n_letters = n_letters
-        children = [{}]
-        terminal = [False]
-        for pat in self.patterns:
-            s = 0
-            for a in pat:
-                if a not in children[s]:
-                    children.append({})
-                    terminal.append(False)
-                    children[s][a] = len(children) - 1
-                s = children[s][a]
-            terminal[s] = True
-        n = len(children)
-        fail = [0] * n
-        dead = list(terminal)
-        goto = [[0] * n_letters for _ in range(n)]
-        order = [0]
-        seen = {0}
-        qi = 0
-        while qi < len(order):
-            s = order[qi]
-            qi += 1
-            dead[s] = dead[s] or dead[fail[s]]
-            for a in range(n_letters):
-                child = children[s].get(a)
-                if child is None:
-                    goto[s][a] = goto[fail[s]][a] if s else 0
-                else:
-                    fail[child] = goto[fail[s]][a] if s else 0
-                    goto[s][a] = child
-                    if child not in seen:
-                        seen.add(child)
-                        order.append(child)
-        self.dead = dead
-        self.transitions = [
-            [-1 if dead[goto[s][a]] else goto[s][a] for a in range(n_letters)]
-            if not dead[s] else [-1] * n_letters
-            for s in range(n)
-        ]
-        self.n_states = n
-
-    def accepts(self, w):
-        if self.dead[0]:
-            return False
-        s = 0
-        for a in w:
-            s = self.transitions[s][a]
-            if s < 0:
-                return False
-        return True
-
-    def language(self, max_length):
-        """All accepted words of length <= max_length."""
-        if self.dead[0]:
-            return []
-        out = []
-        stack = [((), 0)]
-        while stack:
-            w, s = stack.pop()
-            out.append(w)
-            if len(w) < max_length:
-                row = self.transitions[s]
-                for a in range(self.n_letters):
-                    t = row[a]
-                    if t >= 0:
-                        stack.append((w + (a,), t))
-        return out
-
-    def counts(self, max_length):
-        """Number of accepted words of each length 0..max_length, computed by
-        stepping the count vector from the start state along the
-        transitions."""
-        if self.dead[0]:
-            return [0] * (max_length + 1)
-        vec = [0] * self.n_states
-        vec[0] = 1
-        out = [1]
-        for _ in range(max_length):
-            nxt = [0] * self.n_states
-            for s, c in enumerate(vec):
-                if c:
-                    for t in self.transitions[s]:
-                        if t >= 0:
-                            nxt[t] += c
-            vec = nxt
-            out.append(sum(vec))
-        return out
 
 
 def leading_monomials_oracle(pres, max_degree):

@@ -4,7 +4,6 @@ the resolution, and the contracting homotopy that defines them."""
 import time
 from dataclasses import dataclass
 
-from . import wordops
 from .chains import ChainGraph, enumerate_chains, obstructions, prefix_length
 from .errors import NonTermination, NotGroebner, NotInKernel, ZeroElement
 from .free_algebra import axpy, format_signed_sum
@@ -315,7 +314,7 @@ class ResolutionEngine:
         the leading word strictly decreases, which is also enforced as a
         guard, so every term of the result is emitted once.
         """
-        obs_words = self.obstruction_set.words
+        automaton = self.obstruction_set.automaton
         lower, upper = self._index(n), self._index(n + 1)
         out = {}
         work = dict(elem.terms)
@@ -330,14 +329,14 @@ class ResolutionEngine:
                     % self.algebra.word_str(lead_word))
             prev_key = lk
             cut = prefix_length(lower[cw], n - 1)
-            pos, idx = wordops.first_match(lead_word[cut:], obs_words)
+            pos, idx = automaton.first_match(lead_word[cut:])
             if pos < 0:
                 raise NonTermination(
                     "no obstruction occurrence in the reducible part of %s; "
                     "input was outside the kernel"
                     % self.algebra.word_str(lead_word))
             start = cut + pos
-            end = start + len(obs_words[idx])
+            end = start + automaton.lengths[idx]
             if not (start < len(cw) < end):
                 raise NonTermination(
                     "obstruction occurrence in %s does not straddle the "

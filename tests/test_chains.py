@@ -275,6 +275,11 @@ def test_top_down_placements(running):
     assert is_chain_top_down(W("x"), 1, obs) == ((), ())
     assert is_chain_top_down((), 0, obs) == ((), ())
     assert is_chain_top_down(W("x"), 0, obs) is None
+    # a raw word list goes through ObstructionSet: duplicates merge, and a
+    # list that is not an anti-chain is refused
+    assert is_chain_top_down((0, 0), 2, [(0, 0), (0, 0)]) == ((1,), (2,))
+    with pytest.raises(anick.NotAnAntichain):
+        is_chain_top_down((0, 0, 1), 2, [(0, 0), (0, 0, 1)])
 
 
 def test_definitions_agree_small(running):

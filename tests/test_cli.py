@@ -14,32 +14,62 @@ NONCONFLUENT = str(ROOT / "presentations" / "non_confluent.json")
 IDEMPOTENT = str(ROOT / "presentations" / "idempotent_letter.json")
 MONOMIAL = str(ROOT / "presentations" / "monomial.json")
 
-# sha256 of stdout of `resolve --show-homotopy --degree 5` and of
-# `diagnose --degree 5` on each shipped presentation (with --complete for
-# the non-confluent one), recorded before the tensor basis was keyed by
-# word pairs
+# sha256 of stdout of `resolve --show-homotopy --degree 5`,
+# `diagnose --degree 5`, `normal-words --max-length 8`, `chain-graph` and
+# `chains --degree 4` (all with --complete for the non-confluent one), and
+# of `gb-complete`, on each shipped presentation. The first two were
+# recorded before the tensor basis was keyed by word pairs, the others
+# before the subword matchers were merged into one automaton.
 STDOUT_DIGESTS = {
     "idempotent_letter.json": (
         "0262c1d5bfe521e1fe34d38c419176f8e3a5faaaecf98c3d12107618cf2c8b9f",
-        "0ed1ff11bb8c945e2497e38fc61ba09f4fcc1c50a251837dfe878e90352b9126"),
+        "0ed1ff11bb8c945e2497e38fc61ba09f4fcc1c50a251837dfe878e90352b9126",
+        "54cc7cbc31c78a533d28f4f86d85979aa3a28e609971cd2b80c66223477e0f37",
+        "07cc8323e7c88a6b64ad0c226598a91ff3d440a499d45109e7f597d0bc4b4791",
+        "2448ef41c7f68344a46cb76a9180de1b26c6abc3d28406ba496d044ffc0819a0",
+        "008ed5e77312d4bed929667f901e92a7a3267a9c269d70c48f83ce7cae30d4db"),
     "monomial.json": (
         "abfa6c587f73e10338bdb5afbba0ba9c55d69deae18a8858698f119cd106149e",
-        "678c8759b4e0ffbac6b9b972f31e3d549378653dfd210818c868cd924aec5e25"),
+        "678c8759b4e0ffbac6b9b972f31e3d549378653dfd210818c868cd924aec5e25",
+        "c972744556271559d14078f1eefb24b80ea2fdf7b8c7fecb7966d025517f8334",
+        "d56a1389a0925dcffc663ae5ab4cb35f0534e9344b85b3492ff49fb99c3f18ee",
+        "18899881bac00dcf9af0bc40be0e4560753af37343d7902540fc9ba75ef5afa5",
+        "c9852d065ad3c5b27c8e3d70f2ffe103fef82f7b3358cf1d3961c3d73f9395a8"),
     "non_confluent.json": (
         "fcd5f77f25cdac263af8c50d1635927cd7ab59e7925d26b0cc4c9f98bd31762f",
-        "fd0ad0959a997d9cc4e2b8e1b50841119ff65730e695486adde99754731f56cd"),
+        "fd0ad0959a997d9cc4e2b8e1b50841119ff65730e695486adde99754731f56cd",
+        "507c7dc39822eae8daa90c8f838015ba079e9eed2e6c68f29374b29eb844ca37",
+        "f16f20c8db943ce68b7f38a5fc19d962af3f40e469bae2e8b4bb97126eabe64d",
+        "b8dff4b2fbaf497484df4575b732ea32fb8c65a402c3cd4b5b3bf61c9b6e51f1",
+        "5ceca2dc96e0897bcf57cdb634e20a398027d19f8550dfdf7870bc813cd12192"),
     "poly4.json": (
         "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
-        "678c8759b4e0ffbac6b9b972f31e3d549378653dfd210818c868cd924aec5e25"),
+        "678c8759b4e0ffbac6b9b972f31e3d549378653dfd210818c868cd924aec5e25",
+        "1512a8f50b0246c5c1b0a15ad8528f505186e9d2e68047f4fcf709f24556a796",
+        "aab8a7a2a1f885697a7c8605cfed8645e09c75e8ae308db16061482484799dd1",
+        "fc4b5fd6816f75a7c81fc8eaa9499d6a299bd803397166e8c4cf9280b801d62c",
+        "10262a086141c42481af63e23a687d588aee01bb4b5217bb3110414bccefcd00"),
     "running_example.json": (
         "2e624bac52135a1880aff195dcc299986e6d6ab225cd8b7a065e6ee040e6f44f",
-        "1b39dba7208168664f40fad4cf360b3fb7c1693cf800c50ff4a2c814e8d5ba92"),
+        "1b39dba7208168664f40fad4cf360b3fb7c1693cf800c50ff4a2c814e8d5ba92",
+        "32e0b1d49d66268de0be0b39d7485209f443da4f3f705f1a36eeea7cd23c73d3",
+        "ed0400adb71958e2a69f3f22d2008aa14af46ba3da1ae60599a7140d7c17210c",
+        "cbade0211ffabca2de7151653b1f6ea9bbfa541917119f0efd279c31b6d55191",
+        "8a29addf8564ae07780748e61491a1941c14d7dd7bf063437864cd63780f086a"),
     "s3_group.json": (
         "3e8684d20071e10288b4207698c0eebb375da60c014826da28ec33301cbe75bd",
-        "a1b15f4e9ee022ff322a64311166dcf1f67a55e446769f0057bb922e5a29675d"),
+        "a1b15f4e9ee022ff322a64311166dcf1f67a55e446769f0057bb922e5a29675d",
+        "6ef69559bb1bac15295e9474bda767351d019b079d91d3ccc442ce2d07b8ccf5",
+        "0a06776781f3f15c492c2d783a4997427a2b3490513e537cfa3b3d2214b98771",
+        "481e671f0e48a7889b3c72cdffb479a0b2d02eb8ba051fed90aff6c40a39b461",
+        "cac47032516edfd445928244ab6c203f59772b4018de1dd6755ade91fbf69f8c"),
     "s3_group_gf3.json": (
         "be5a197a1d590982320b9165e509d75cfd6b68f75a4b1d35effed5a3fff1ca5b",
-        "408677b3894c2301ffd72c500213ff4de1e947f4f1d2bfcd2310968495bc4c9b"),
+        "408677b3894c2301ffd72c500213ff4de1e947f4f1d2bfcd2310968495bc4c9b",
+        "6ef69559bb1bac15295e9474bda767351d019b079d91d3ccc442ce2d07b8ccf5",
+        "0a06776781f3f15c492c2d783a4997427a2b3490513e537cfa3b3d2214b98771",
+        "481e671f0e48a7889b3c72cdffb479a0b2d02eb8ba051fed90aff6c40a39b461",
+        "567147cddb76e48648b76e2f5194656dc12aaf5cd7b87389c4fe1232bc6c019c"),
 }
 
 
@@ -285,9 +315,13 @@ def test_stdout_digests(capsys, name):
     path = str(ROOT / "presentations" / name)
     extra = ["--complete"] if name == "non_confluent.json" else []
     got = []
-    for argv in (["resolve", "--show-homotopy", "--degree", "5"],
-                 ["diagnose", "--degree", "5"]):
-        code, out, _ = run(capsys, *argv, path, *extra)
+    for argv in (["resolve", "--show-homotopy", "--degree", "5", *extra],
+                 ["diagnose", "--degree", "5", *extra],
+                 ["normal-words", "--max-length", "8", *extra],
+                 ["chain-graph", *extra],
+                 ["chains", "--degree", "4", *extra],
+                 ["gb-complete"]):
+        code, out, _ = run(capsys, *argv, path)
         assert code == 0
         got.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(got) == STDOUT_DIGESTS[name]
@@ -306,9 +340,16 @@ def test_stdout_digests(capsys, name):
     {"generators": ["x", "y"], "relations": ["x*y"], "weights": {"x": "2"}},
     {"generators": ["x", "y"], "relations": ["x*y"], "weights": {"z": 3}},
     {"generators": ["x", "y"], "relations": ["x*y"], "weights": 0.0},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "augmentation": {"x": 0.1}},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "augmentation": {"x": True}},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "field": {"type": "prime", "p": 3}, "augmentation": {"x": 2.5}},
 ], ids=["relation-1/0", "augmentation-1/0", "relation-int", "field-string",
         "modulus-too-large", "weight-float", "weight-bool", "weight-string",
-        "weight-unknown-letter", "weights-number"])
+        "weight-unknown-letter", "weights-number", "augmentation-float",
+        "augmentation-bool", "augmentation-float-gf3"])
 def test_malformed_input_exits_4(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

@@ -11,7 +11,7 @@ import pytest
 import anick
 from anick import (Alphabet, BoundExceeded, FreeAlgebra, InvalidPresentation,
                    Presentation, RewriteSystem, check_groebner, complete,
-                   leading_monomials_oracle, overlaps, wordops)
+                   leading_monomials_oracle, overlaps)
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
@@ -143,6 +143,10 @@ def test_nonminimal_rules_flagged(running_presentation):
     assert not rs.minimal
     with pytest.raises(anick.NotMinimal):
         anick.obstructions(rs)
+    # the leftmost start is rewritten first, not the first occurrence to end
+    rs = RewriteSystem(A, [A.parse("x*y*z*x - z*z*z*z"), A.parse("y*z - z*z")])
+    assert not rs.minimal
+    assert A.format(rs.normal_form_word(A.alphabet.word("xyzx"))) == "z*z*z*z"
 
 
 # ---- overlaps ----
@@ -272,8 +276,9 @@ def test_automaton_agrees_with_brute_force(running_rs):
     pats = running_rs.leading_words
     for n in range(7):
         expected = [w for w in itertools.product(range(3), repeat=n)
-                    if wordops.is_normal(w, pats)]
-        assert aut.counts(n)[n] == len(expected)
+                    if not any(w[i:i + len(u)] == u for u in pats
+                               for i in range(n - len(u) + 1))]
+        assert aut.counts(n, 3)[n] == len(expected)
         for w in expected:
             assert aut.accepts(w)
 

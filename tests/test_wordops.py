@@ -1,8 +1,8 @@
-"""The subword kernels agree with a brute-force slicing reference."""
+"""The subword matchers agree with a brute-force slicing reference."""
 
 import random
 
-from anick import wordops
+from anick import NormalWordAutomaton, find_subword
 
 
 def ref_occurrences(w, patterns):
@@ -14,33 +14,39 @@ def ref_occurrences(w, patterns):
 
 def ref_find_subword(w, u):
     return next((i for i in range(len(w) - len(u) + 1)
-                 if w[i:i + len(u)] == u), -1)
+                 if w[i:i + len(u)] == u), None)
 
 
 def check_against_reference(w, pats):
     occ = ref_occurrences(w, pats)
     for u in pats or ((),):
-        assert wordops.find_subword(w, u) == ref_find_subword(w, u)
-    assert wordops.first_match(w, pats) == (occ[0] if occ else (-1, -1))
-    assert wordops.all_matches(w, pats) == occ
-    assert wordops.is_normal(w, pats) == (not occ)
+        assert find_subword(w, u) == ref_find_subword(w, u)
+    aut = NormalWordAutomaton(pats)
+    assert aut.first_match(w) == (occ[0] if occ else (-1, -1))
+    assert aut.all_matches(w) == occ
+    assert aut.accepts(w) == (not occ)
+    assert aut.nested_pairs() == [
+        (i, j) for i, u in enumerate(pats) for j, v in enumerate(pats)
+        if i != j and ref_find_subword(v, u) is not None]
 
 
 def test_find_subword_basics():
-    f = wordops.find_subword
+    f = find_subword
     assert f((0, 1, 0), (1, 0)) == 1
     assert f((0, 1, 0), (0,)) == 0
-    assert f((0, 1, 0), (2,)) == -1
+    assert f((0, 1, 0), (2,)) is None
     assert f((0, 1, 0), ()) == 0
     assert f((), ()) == 0
-    assert f((), (0,)) == -1
-    assert f((0, 0), (0, 0, 0)) == -1
+    assert f((), (0,)) is None
+    assert f((0, 0), (0, 0, 0)) is None
     # leftmost occurrence wins
     assert f((1, 0, 0, 0), (0, 0)) == 1
 
 
 def test_first_match_basics():
-    g = wordops.first_match
+    def g(w, pats):
+        return NormalWordAutomaton(pats).first_match(w)
+
     pats = ((0, 0), (1, 0))
     assert g((0, 1, 0, 0), pats) == (1, 1)
     assert g((0, 0, 1, 0), pats) == (0, 0)
@@ -48,23 +54,31 @@ def test_first_match_basics():
     # same position: lowest pattern index
     assert g((0, 0), ((0, 0), (0,))) == (0, 0)
     assert g((0, 0), ((0,), (0, 0))) == (0, 0)
+    # leftmost start, not the first occurrence to end
+    assert g((0, 1, 2, 0), ((1, 2), (0, 1, 2, 0))) == (0, 1)
+    # letters no pattern uses lead back to the root
+    assert g((0, 7, 1, 0, 9), pats) == (2, 1)
 
 
 def test_all_matches_basics():
-    h = wordops.all_matches
+    def h(w, pats):
+        return NormalWordAutomaton(pats).all_matches(w)
+
     pats = ((0, 0),)
     assert h((0, 0, 0), pats) == [(0, 0), (1, 0)]
     assert h((1, 1), pats) == []
+    assert h((0, 4, 0, 0), pats) == [(2, 0)]
     pats = ((0, 1), (1,))
     assert h((0, 1, 1), pats) == [(0, 0), (1, 1), (2, 1)]
 
 
 def test_is_normal_basics():
-    pats = ((0, 0), (1, 2))
-    assert wordops.is_normal((0, 1, 0), pats)
-    assert not wordops.is_normal((0, 0, 1), pats)
-    assert not wordops.is_normal((1, 2), pats)
-    assert wordops.is_normal((), pats)
+    aut = NormalWordAutomaton(((0, 0), (1, 2)))
+    assert aut.accepts((0, 1, 0))
+    assert not aut.accepts((0, 0, 1))
+    assert not aut.accepts((1, 2))
+    assert aut.accepts(())
+    assert aut.accepts((3, 0, 3, 0))
 
 
 def random_word(rng, n_letters, max_len):
@@ -75,7 +89,8 @@ def test_random_words_match_reference():
     rng = random.Random(11)
     for _ in range(2000):
         n_letters = rng.choice([1, 2, 3, 5])
-        w = random_word(rng, n_letters, 14)
+        # the word may use letters that no pattern does
+        w = random_word(rng, n_letters + rng.randrange(3), 14)
         pats = tuple(random_word(rng, n_letters, 5) for _ in range(rng.randrange(4)))
         check_against_reference(w, pats)
 
@@ -87,6 +102,8 @@ def test_edge_cases_match_reference():
         ((0,), ()),
         ((0,), ((),)),
         ((0, 1, 0, 1, 0), ((0, 1), (1, 0))),
+        ((0, 1, 0, 1, 0), ((0, 1), (0, 1), (1,), ())),
+        ((2, 0, 1, 3, 0, 1, 2), ((0, 1), (1, 0), (0, 1, 0))),
         (tuple([0] * 50), ((0, 0, 0),)),
         (tuple(i % 3 for i in range(500)), ((2, 0, 1), (1, 2, 0, 1))),
     ]
