@@ -122,14 +122,26 @@ def _is_prime(n):
 
 
 class RationalField:
-    """The field of rational numbers; elements are fractions.Fraction."""
+    """The field of rational numbers. QQ(value) is a plain int when value
+    is integral and a fractions.Fraction otherwise, so integer coefficients
+    cost native int arithmetic. Sums and products of the two stay exact;
+    a product of two Fractions may be an integral Fraction, which compares
+    and prints like the int. inv is the only division, so no scalar
+    becomes a float."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __call__(self, value):
-        return Fraction(value)
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
+
+    def inv(self, x):
+        """Multiplicative inverse; ZeroDivisionError on zero."""
+        if not x:
+            raise ZeroDivisionError("division by zero in Q")
+        return self(1 / Fraction(x))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -155,6 +167,10 @@ class PrimeField:
         self.p = p
         self.zero = FpElement(0, p)
         self.one = FpElement(1, p)
+
+    def inv(self, x):
+        """Multiplicative inverse; ZeroDivisionError on zero."""
+        return self.one / self(x)
 
     def __call__(self, value):
         if isinstance(value, FpElement):

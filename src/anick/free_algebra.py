@@ -246,8 +246,8 @@ class Polynomial:
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         lc = self.lc()
-        one = self.algebra.field.one
-        return self if lc == one else self.scale(one / lc)
+        field = self.algebra.field
+        return self if lc == field.one else self.scale(field.inv(lc))
 
     def __repr__(self):
         return "<poly %s>" % (self.algebra.format(self),)

@@ -396,7 +396,7 @@ def leading_monomials_oracle(pres, max_degree):
                     lw = max(row, key=keyf)
                     piv = pivots.get(lw)
                     if piv is None:
-                        inv = field.one / row[lw]
+                        inv = field.inv(row[lw])
                         pivots[lw] = {w2: c2 * inv for w2, c2 in row.items()}
                         break
                     axpy(row, piv.items(), -row[lw])

@@ -61,6 +61,38 @@ class ModuleElement:
                                                       len(self.terms))
 
 
+def _leading_term(terms, keyf):
+    """The term of terms (nonempty) with the largest keyf, and that key.
+
+    Distinct basis terms must have distinct keys, that is distinct words
+    chain word + normal word; a tie at the top is a broken basis order.
+    """
+    best = best_key = None
+    tie = False
+    for t in terms:
+        k = keyf(t)
+        if best_key is None or k > best_key:
+            best, best_key, tie = t, k, False
+        elif k == best_key:
+            tie = True
+    assert not tie, "distinct basis terms share a word; basis order broken"
+    return best, best_key
+
+
+class _KeyMemo(dict):
+    """term -> keyf(term), computed on first lookup."""
+
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        super().__init__()
+        self.keyf = keyf
+
+    def __missing__(self, term):
+        k = self[term] = self.keyf(term)
+        return k
+
+
 @dataclass
 class DegreeReport:
     degree: int
@@ -169,16 +201,7 @@ class ResolutionEngine:
         chain word followed by the normal word of term."""
         if not elem.terms:
             raise ZeroElement("zero element has no leading term")
-        best = None
-        best_key = None
-        tie = False
-        for t in elem.terms:
-            k = self.basis_key(t)
-            if best_key is None or k > best_key:
-                best, best_key, tie = t, k, False
-            elif k == best_key:
-                tie = True
-        assert not tie, "distinct basis terms share a word; basis order broken"
+        best, _ = _leading_term(elem.terms, self.basis_key)
         return best[0] + best[1], best, elem.terms[best]
 
     # ---- scalars ----
@@ -318,11 +341,14 @@ class ResolutionEngine:
         lower, upper = self._index(n), self._index(n + 1)
         out = {}
         work = dict(elem.terms)
+        # each term's key is computed once per call, not once per step
+        keyf = _KeyMemo(self.basis_key).__getitem__
         prev_key = None
         guard = 0
         while work:
-            lead_word, (cw, _), coeff = self.module_lm(ModuleElement(n, work))
-            lk = self.order.key(lead_word)
+            (cw, w), lk = _leading_term(work, keyf)
+            lead_word = cw + w
+            coeff = work[(cw, w)]
             if prev_key is not None and not lk < prev_key:
                 raise NonTermination(
                     "leading word %s failed to decrease"

@@ -70,6 +70,13 @@ STDOUT_DIGESTS = {
         "0a06776781f3f15c492c2d783a4997427a2b3490513e537cfa3b3d2214b98771",
         "481e671f0e48a7889b3c72cdffb479a0b2d02eb8ba051fed90aff6c40a39b461",
         "567147cddb76e48648b76e2f5194656dc12aaf5cd7b87389c4fe1232bc6c019c"),
+    "skew_poly3.json": (
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "cb759ffa92488618a6be666fce770758988a5b934bede23785d49d9cc8acea90",
+        "15e6b19b9da8e4b47a764fc9ed46fab66ab370501c582a5c8c1d5ecbcf0314fb",
+        "c6ddc494c77f071ebe69c18328c504c117c22b1231ac2a31b117e6fbed1edede",
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "e7f80188b05c523c9254f2a52fe35b99f96b752a2ce0cd670e92abe65698850a"),
 }
 
 
@@ -325,6 +332,22 @@ def test_stdout_digests(capsys, name):
         assert code == 0
         got.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(got) == STDOUT_DIGESTS[name]
+
+
+def test_fractional_coefficients_render(capsys):
+    # a skew polynomial ring with a fractional augmentation: its scalars
+    # are fractions, which print as p/q wherever they appear
+    path = str(ROOT / "presentations" / "skew_poly3.json")
+    counts = []
+    for n in range(5):
+        code, out, _ = run(capsys, "chains", "--degree", str(n), path)
+        assert code == 0
+        counts.append(len(out.split()))
+    assert counts == [1, 3, 3, 1, 0]
+    _, out, _ = run(capsys, "diagnose", "--degree", "3", path)
+    assert "[z <- xz] = -1/4" in out and "[y <- xy] = 1/6" in out
+    _, out, _ = run(capsys, "resolve", "--degree", "3", path)
+    assert out.endswith("- 1/2·[yz | 1]\n")
 
 
 @pytest.mark.parametrize("data", [

@@ -210,6 +210,13 @@ def test_finite_field_polynomials():
 
 
 def test_rational_field_parsing():
-    assert anick.QQ("3/4") == Fraction(3, 4)
-    assert anick.QQ(2) == Fraction(2)
-    assert anick.QQ.zero == 0 and anick.QQ.one == 1
+    QQ = anick.QQ
+    assert QQ("3/4") == Fraction(3, 4)
+    assert QQ(2) == Fraction(2)
+    assert QQ.zero == 0 and QQ.one == 1
+    # integral values are native ints, never bools; the rest are Fractions
+    for value in (2, "4/2", Fraction(-6, 3), True):
+        assert type(QQ(value)) is int
+    assert type(QQ("3/4")) is Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.inv(-1)) is int

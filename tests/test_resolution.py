@@ -5,7 +5,9 @@ import random
 import pytest
 
 import anick
-from anick import (NotInKernel, Presentation, ResolutionEngine, ZeroElement)
+from anick import (NonTermination, NotInKernel, Presentation, ResolutionEngine,
+                   ZeroElement)
+from anick.resolution import ModuleElement
 
 D1_GOLDEN = {
     "z": "[1 | z]",
@@ -211,6 +213,41 @@ def test_homotopy_random_kernel(running_engine):
             assert eng.apply_differential(lifted) == z
             # the lift preserves the leading word
             assert eng.module_lm(lifted)[0] == eng.module_lm(z)[0]
+
+
+def test_tied_leading_words_fail(running_engine):
+    # [x | y] and [xy | 1] are distinct terms with one word xy; the
+    # leading-term scan must refuse them rather than pick one
+    tied = ModuleElement(1, {((0,), (1,)): 1, ((0, 1), ()): 1})
+    with pytest.raises(AssertionError, match="share a word"):
+        running_engine.module_lm(tied)
+    with pytest.raises(AssertionError, match="share a word"):
+        running_engine._lift(1, tied)
+
+
+def _doctored_engine(presentation, chain_word, extra, debug=False):
+    """An engine whose cached d_2 of chain_word carries one extra term."""
+    eng = ResolutionEngine.from_presentation(presentation, debug=debug)
+    chain = eng.chain_with_word(2, eng.algebra.word(chain_word))
+    cycle = eng.differential(chain)
+    eng._d_cache[(2, chain.word)] = cycle + ModuleElement(1, {extra: 1})
+    return eng, cycle
+
+
+def test_lift_guards(running_presentation):
+    # a term above the leading word left behind by the subtraction
+    eng, cycle = _doctored_engine(running_presentation, "xxx",
+                                  ((0,), (0,) * 6))
+    with pytest.raises(NonTermination, match="failed to decrease"):
+        eng._lift(1, cycle)
+    # a term below it that is no cycle, caught only by the debug check
+    eng, cycle = _doctored_engine(running_presentation, "xxx", ((2,), ()),
+                                  debug=True)
+    with pytest.raises(NotInKernel, match="lost mid-recursion"):
+        eng._lift(1, cycle)
+    # a leading word with no obstruction past its chain
+    with pytest.raises(NonTermination, match="no obstruction occurrence"):
+        eng._lift(1, eng.basis_element(1, "x", "x"))
 
 
 # ---- determinism ----
