@@ -9,7 +9,7 @@ from .chains import (Chain, ChainGraph, ObstructionSet, antichain_from_oim,
 from .errors import (AnickError, BoundExceeded, InvalidPresentation,
                      NonTermination, NotAnAntichain, NotAnOim, NotGroebner,
                      NotInKernel, NotMinimal, ZeroElement, ZeroPolynomial)
-from .fields import GF, QQ, FpElement, PrimeField, RationalField
+from .fields import GF, QQ, PrimeField, RationalField
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
                            find_subword, words_up_to_weight)
 from .groebner import (CheckReport, Overlap, Presentation, RewriteSystem,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "AnickError", "BoundExceeded", "Chain", "ChainGraph",
-    "CheckReport", "FpElement", "FreeAlgebra", "GF", "InvalidPresentation",
+    "CheckReport", "FreeAlgebra", "GF", "InvalidPresentation",
     "ModuleElement", "MonomialOrder", "NonTermination", "NormalWordAutomaton",
     "NotAnAntichain", "NotAnOim", "NotGroebner", "NotInKernel", "NotMinimal",
     "ObstructionSet", "Overlap", "Polynomial", "Presentation", "PrimeField",

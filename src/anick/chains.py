@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
 from .free_algebra import MonomialOrder
+from .groebner import require_long_leading_word
 from .wordops import NormalWordAutomaton
 
 
@@ -50,7 +51,11 @@ def _check_antichain(automaton):
 
 
 def obstructions(rs):
-    """Leading monomials of a minimal rewrite system as an ObstructionSet."""
+    """Leading monomials of a minimal rewrite system as an ObstructionSet;
+    InvalidPresentation names a rule, say one completion derived, whose
+    leading word is shorter than 2."""
+    for rule, lm in zip(rs.rules, rs.leading_words):
+        require_long_leading_word(rs.algebra, rule, lm)
     if not rs.minimal:
         raise NotMinimal("rule leading monomials are not an anti-chain")
     return ObstructionSet(rs.leading_words)

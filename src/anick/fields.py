@@ -3,90 +3,6 @@
 from fractions import Fraction
 
 
-class FpElement:
-    """Residue class modulo a prime, with field arithmetic."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _check(self, other):
-        if not isinstance(other, FpElement):
-            if isinstance(other, int):
-                return FpElement(other, self.p)
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val + other.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val - other.val, self.p)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(other.val - self.val, self.p)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val * other.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return isinstance(other, FpElement) and self.p == other.p and self.val == other.val
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __int__(self):
-        return self.val
-
-    def __repr__(self):
-        return "FpElement(%d, %d)" % (self.val, self.p)
-
-    def __str__(self):
-        return str(self.val)
-
-
 # Miller-Rabin with the first twelve primes as bases is exact below this
 # bound (Sorenson and Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -129,11 +45,13 @@ class RationalField:
     and prints like the int. inv is the only division, so no scalar
     becomes a float."""
 
-    name = "rational"
+    characteristic = 0
     zero = 0
     one = 1
 
     def __call__(self, value):
+        if type(value) is int:
+            return value
         value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
 
@@ -141,7 +59,8 @@ class RationalField:
         """Multiplicative inverse; ZeroDivisionError on zero."""
         if not x:
             raise ZeroDivisionError("division by zero in Q")
-        return self(1 / Fraction(x))
+        x = Fraction(1, x)
+        return x.numerator if x.denominator == 1 else x
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -157,34 +76,28 @@ class RationalField:
 
 
 class PrimeField:
-    """The prime field GF(p); elements are FpElement residues."""
+    """The prime field GF(p). Its elements are plain ints in range(p),
+    reduced mod p where they are stored (free_algebra.axpy)."""
 
-    name = "prime"
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
-        self.p = p
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
+        self.p = self.characteristic = p
 
     def inv(self, x):
         """Multiplicative inverse; ZeroDivisionError on zero."""
-        return self.one / self(x)
+        if not x % self.p:
+            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
+        return pow(x, -1, self.p)
 
     def __call__(self, value):
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise ValueError("mixed moduli")
-            return value
-        if isinstance(value, str):
-            value = Fraction(value)
-        if isinstance(value, Fraction):
-            num = FpElement(value.numerator, self.p)
-            if value.denominator == 1:
-                return num
-            return num / FpElement(value.denominator, self.p)
-        return FpElement(value, self.p)
+        if isinstance(value, int):
+            return value % self.p
+        value = Fraction(value)
+        return value.numerator * self.inv(value.denominator) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

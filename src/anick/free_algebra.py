@@ -146,12 +146,16 @@ def words_up_to_weight(alphabet, order, max_weight):
     return out
 
 
-def axpy(acc, items, c=1):
+def axpy(acc, items, c=1, p=0):
     """acc += c * items, in place: add c times each (key, coeff) pair of
     items into the dict acc, dropping keys whose coefficient becomes zero.
+    A nonzero p is the characteristic of GF(p): each stored value is
+    reduced into range(p), so its scalars stay plain ints.
 
-    The coefficients in items must be nonzero. Returns acc.
+    The coefficients in items must be nonzero (mod p). Returns acc.
     """
+    if p:
+        c %= p
     if not c:
         return acc
     get = acc.get
@@ -160,9 +164,13 @@ def axpy(acc, items, c=1):
         old = get(k)
         if old is not None:
             v = old + v
+            if p:
+                v %= p
             if not v:
                 del acc[k]
                 continue
+        elif p:
+            v %= p
         acc[k] = v
     return acc
 
@@ -173,7 +181,7 @@ def format_signed_sum(terms, body):
     pulled out in front. An empty sum renders as "0"."""
     pieces = []
     for k, c in terms:
-        neg = getattr(c, "numerator", 1) < 0
+        neg = c < 0
         text = body(k, -c if neg else c)
         if pieces:
             pieces.append(("- " if neg else "+ ") + text)
@@ -204,21 +212,24 @@ class Polynomial:
 
     def __add__(self, other):
         return Polynomial(self.algebra,
-                          axpy(dict(self.terms), other.terms.items()))
+                          axpy(dict(self.terms), other.terms.items(),
+                               1, self.algebra.field.characteristic))
 
     def __sub__(self, other):
         return Polynomial(self.algebra,
-                          axpy(dict(self.terms), other.terms.items(), -1))
+                          axpy(dict(self.terms), other.terms.items(),
+                               -1, self.algebra.field.characteristic))
 
     def __neg__(self):
-        return Polynomial(self.algebra, {w: -c for w, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            p = self.algebra.field.characteristic
             terms = {}
             for w1, c1 in self.terms.items():
                 axpy(terms, ((w1 + w2, c2) for w2, c2 in other.terms.items()),
-                     c1)
+                     c1, p)
             return Polynomial(self.algebra, terms)
         return self.scale(other)
 
@@ -226,10 +237,9 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c):
-        c = self.algebra.field(c)
-        if not c:
-            return Polynomial(self.algebra, {})
-        return Polynomial(self.algebra, {w: c * v for w, v in self.terms.items()})
+        field = self.algebra.field
+        return Polynomial(self.algebra, axpy({}, self.terms.items(), field(c),
+                                             field.characteristic))
 
     def support(self):
         return set(self.terms)
@@ -245,9 +255,10 @@ class Polynomial:
     def monic(self):
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        lc = self.lc()
         field = self.algebra.field
-        return self if lc == field.one else self.scale(field.inv(lc))
+        inv = field.inv(self.lc())
+        return Polynomial(self.algebra, {w: field(c * inv)
+                                         for w, c in self.terms.items()})
 
     def __repr__(self):
         return "<poly %s>" % (self.algebra.format(self),)
@@ -292,7 +303,8 @@ class FreeAlgebra:
             c = self.field(c)
             if c:
                 items.append((w, c))
-        return Polynomial(self, axpy({}, items))
+        return Polynomial(self, axpy({}, items, 1,
+                                     self.field.characteristic))
 
     def from_word(self, w, coeff=1):
         if isinstance(w, str):
@@ -346,7 +358,7 @@ class FreeAlgebra:
                     continue
                 word.extend(self.alphabet.word(p))
             if sign < 0:
-                coeff = -coeff
+                coeff = self.field(-coeff)
             result = result + Polynomial(self, {tuple(word): coeff} if coeff else {})
         return result
 

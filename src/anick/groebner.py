@@ -14,6 +14,16 @@ from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
 from .wordops import NormalWordAutomaton
 
 
+def require_long_leading_word(algebra, rule, lm):
+    """Raise InvalidPresentation when lm, the leading word of rule, is
+    shorter than 2: the rule expresses a generator through lower terms."""
+    if len(lm) < 2:
+        raise InvalidPresentation(
+            "relation %s has leading monomial of length %d; eliminate "
+            "the generator instead of relating it to lower terms"
+            % (algebra.format(rule), len(lm)))
+
+
 class Presentation:
     """Augmented algebra presentation: generators, graded order, relations,
     and an augmentation given by a scalar value per generator."""
@@ -40,12 +50,7 @@ class Presentation:
                 raise InvalidPresentation("augmentation arity mismatch")
         self.augmentation = aug
         for r in self.relations:
-            lm = r.lm()
-            if len(lm) < 2:
-                raise InvalidPresentation(
-                    "relation %s has leading monomial of length %d; eliminate "
-                    "the generator instead of relating it to lower terms"
-                    % (algebra.format(r), len(lm)))
+            require_long_leading_word(algebra, r, r.lm())
             if self.augmentation_eval(r):
                 raise InvalidPresentation(
                     "relation %s does not vanish at the augmentation point"
@@ -53,18 +58,19 @@ class Presentation:
 
     def augmentation_eval(self, p):
         """Evaluate a polynomial at the augmentation point."""
-        return sum((c * self.word_eval(w) for w, c in p.terms.items()),
-                   self.algebra.field.zero)
+        return self.algebra.field(sum(c * self.word_eval(w)
+                                      for w, c in p.terms.items()))
 
     def word_eval(self, w):
         """Augmentation value of a single word."""
+        field = self.algebra.field
         aug = self.augmentation
-        v = self.algebra.field.one
+        v = field.one
         for i in w:
             v = v * aug[i]
             if not v:
                 break
-        return v
+        return field(v)
 
     def to_json(self):
         alg = self.algebra
@@ -182,9 +188,9 @@ class RewriteSystem:
         prefix = word[:pos]
         suffix = word[pos + len(lm):]
         # distinct tail words stay distinct under the same prefix and suffix
-        return Polynomial(self.algebra, {prefix + w2 + suffix: -c2
-                                         for w2, c2 in rule.terms.items()
-                                         if w2 != lm})
+        return Polynomial(self.algebra, axpy(
+            {}, ((prefix + w2 + suffix, c2) for w2, c2 in rule.terms.items()
+                 if w2 != lm), -1, self.algebra.field.characteristic))
 
     def normal_form_word(self, w):
         """Normal form of a single word, cached."""
@@ -194,6 +200,7 @@ class RewriteSystem:
         keyf = self.algebra.order.key
         lms = self.leading_words
         first_match = self.automaton().first_match
+        p = self.algebra.field.characteristic
         pending = {w: self.algebra.field.one}
         normal = {}
         while pending:
@@ -208,7 +215,7 @@ class RewriteSystem:
             suffix = u[pos + len(lm):]
             axpy(pending, ((prefix + w2 + suffix, c2)
                            for w2, c2 in self.rules[ridx].terms.items()
-                           if w2 != lm), -c)
+                           if w2 != lm), -c, p)
         result = Polynomial(self.algebra, normal)
         self._nf_cache[w] = result
         return result
@@ -216,9 +223,10 @@ class RewriteSystem:
     def normal_form(self, p):
         """Normal form of a polynomial: reduce the largest reducible support
         word first, leftmost occurrence, rules in stored order."""
+        char = self.algebra.field.characteristic
         acc = {}
         for w, c in p.terms.items():
-            axpy(acc, self.normal_form_word(w).terms.items(), c)
+            axpy(acc, self.normal_form_word(w).terms.items(), c, char)
         return Polynomial(self.algebra, acc)
 
     def automaton(self):
@@ -379,6 +387,7 @@ def leading_monomials_oracle(pres, max_degree):
     alg = pres.algebra
     order = alg.order
     field = alg.field
+    char = field.characteristic
     keyf = order.key
     pivots = {}
     for g in pres.relations:
@@ -396,8 +405,8 @@ def leading_monomials_oracle(pres, max_degree):
                     lw = max(row, key=keyf)
                     piv = pivots.get(lw)
                     if piv is None:
-                        inv = field.inv(row[lw])
-                        pivots[lw] = {w2: c2 * inv for w2, c2 in row.items()}
+                        pivots[lw] = axpy({}, row.items(),
+                                          field.inv(row[lw]), char)
                         break
-                    axpy(row, piv.items(), -row[lw])
+                    axpy(row, piv.items(), -row[lw], char)
     return set(pivots)

@@ -16,14 +16,16 @@ class ModuleElement:
 
     terms maps the pair (chain word, normal word) to a nonzero coefficient;
     the chain word names the chain, since chains of one degree have
-    distinct words.
+    distinct words. p is the field's characteristic, without a default so
+    that no element over GF(p) falls back to characteristic-0 arithmetic.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "p")
 
-    def __init__(self, degree, terms=None):
+    def __init__(self, degree, terms, p):
         self.degree = degree
-        self.terms = terms if terms is not None else {}
+        self.terms = terms
+        self.p = p
 
     def __bool__(self):
         return bool(self.terms)
@@ -38,7 +40,8 @@ class ModuleElement:
             raise ValueError("degree mismatch %d vs %d"
                              % (self.degree, other.degree))
         return ModuleElement(self.degree,
-                             axpy(dict(self.terms), other.terms.items(), c))
+                             axpy(dict(self.terms), other.terms.items(), c,
+                                  self.p), self.p)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -47,14 +50,11 @@ class ModuleElement:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return ModuleElement(self.degree,
-                             {t: -c for t, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c):
-        if not c:
-            return ModuleElement(self.degree, {})
         return ModuleElement(self.degree,
-                             {t: c * v for t, v in self.terms.items()})
+                             axpy({}, self.terms.items(), c, self.p), self.p)
 
     def __repr__(self):
         return "<module element deg %d, %d terms>" % (self.degree,
@@ -116,6 +116,7 @@ class ResolutionEngine:
         self.algebra = presentation.algebra
         self.order = self.algebra.order
         self.field = self.algebra.field
+        self.p = self.field.characteristic
         self.debug = debug
         self.obstruction_set = obstructions(rewrite_system)
         self.graph = ChainGraph(self.obstruction_set, self.algebra.alphabet)
@@ -168,7 +169,7 @@ class ResolutionEngine:
     # ---- element constructors ----
 
     def zero(self, degree):
-        return ModuleElement(degree, {})
+        return ModuleElement(degree, {}, self.p)
 
     def element(self, degree, items):
         """Build from (chain, word, coeff) triples; words may be strings."""
@@ -179,7 +180,7 @@ class ResolutionEngine:
             c = self.field(coeff)
             if c:
                 pairs.append(((chain.word, tuple(word)), c))
-        return ModuleElement(degree, axpy({}, pairs))
+        return ModuleElement(degree, axpy({}, pairs, 1, self.p), self.p)
 
     def basis_element(self, degree, chain_word, word="1", coeff=1):
         if isinstance(chain_word, str):
@@ -213,27 +214,26 @@ class ResolutionEngine:
         """Augmentation of a degree-0 element."""
         if elem.degree != 0:
             raise ValueError("epsilon applies to degree-0 elements")
-        total = self.field.zero
-        for (_, w), c in elem.terms.items():
-            total = total + c * self.word_eval(w)
-        return total
+        return self.field(sum(c * self.word_eval(w)
+                              for (_, w), c in elem.terms.items()))
 
     # ---- module structure ----
 
     def act(self, elem, word):
         """Right action: multiply every normal-word factor by word and
         renormalize."""
-        return ModuleElement(elem.degree,
-                             self._act_into({}, elem, tuple(word), 1))
+        return ModuleElement(
+            elem.degree, self._act_into({}, elem, tuple(word), 1), self.p)
 
     def _act_into(self, acc, elem, word, c):
         """acc += c * (elem acted on by word), in place; returns acc."""
+        p = self.p
         if not word:
-            return axpy(acc, elem.terms.items(), c)
+            return axpy(acc, elem.terms.items(), c, p)
         nf = self.rs.normal_form_word
         for (cw, w), m in elem.terms.items():
             axpy(acc, (((cw, v), k) for v, k in nf(w + word).terms.items()),
-                 c * m)
+                 c * m, p)
         return acc
 
     # ---- differentials ----
@@ -261,12 +261,12 @@ class ResolutionEngine:
             terms = {((), chain.word): self.field.one}
             eps = self.word_eval(chain.word)
             if eps:
-                terms[((), ())] = -eps
-            result = ModuleElement(0, terms)
+                terms[((), ())] = self.field(-eps)
+            result = ModuleElement(0, terms, self.p)
         else:
             cut = prefix_length(chain, n - 1)
             lead = (chain.word[:cut], chain.word[cut:])
-            base = ModuleElement(n - 1, {lead: self.field.one})
+            base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
             # a boundary by construction, so the lift skips the cycle check
             boundary = self.apply_differential(base)
             if n == 2:
@@ -294,7 +294,7 @@ class ResolutionEngine:
         out = {}
         for (cw, w), c in elem.terms.items():
             self._act_into(out, self.differential(index[cw]), w, c)
-        return ModuleElement(elem.degree - 1, out)
+        return ModuleElement(elem.degree - 1, out, self.p)
 
     # ---- contracting homotopy ----
 
@@ -314,7 +314,7 @@ class ResolutionEngine:
                 coeff = coeff * self.word_eval((s[j],))
                 if not coeff:
                     break
-        return ModuleElement(1, axpy({}, pairs))
+        return ModuleElement(1, axpy({}, pairs, 1, self.p), self.p)
 
     def homotopy(self, n, elem):
         """i_n: a right inverse of d_{n+1} on the kernel of d_n.
@@ -379,9 +379,9 @@ class ResolutionEngine:
             if guard > 100000:
                 raise NonTermination("iteration cap reached at degree %d" % n)
             if self.debug and work and self.apply_differential(
-                    ModuleElement(n, work)):
+                    ModuleElement(n, work, self.p)):
                 raise NotInKernel("cycle condition lost mid-recursion")
-        return ModuleElement(n + 1, out)
+        return ModuleElement(n + 1, out, self.p)
 
     # ---- reports ----
 
@@ -421,7 +421,7 @@ class ResolutionEngine:
             for j, c in enumerate(cols):
                 vals = ((row_index[cw], coeff * self.word_eval(w))
                         for (cw, w), coeff in self.differential(c).terms.items())
-                axpy(entries, (((i, j), v) for i, v in vals if v))
+                axpy(entries, (((i, j), v) for i, v in vals if v), 1, self.p)
             out[n] = {"rows": [c.word for c in rows],
                       "cols": [c.word for c in cols],
                       "entries": dict(sorted(entries.items())),

@@ -19,7 +19,8 @@ MONOMIAL = str(ROOT / "presentations" / "monomial.json")
 # `chains --degree 4` (all with --complete for the non-confluent one), and
 # of `gb-complete`, on each shipped presentation. The first two were
 # recorded before the tensor basis was keyed by word pairs, the others
-# before the subword matchers were merged into one automaton.
+# before the subword matchers were merged into one automaton; those of the
+# two GF(2) and GF(7) presentations before GF(p) scalars became plain ints.
 STDOUT_DIGESTS = {
     "idempotent_letter.json": (
         "0262c1d5bfe521e1fe34d38c419176f8e3a5faaaecf98c3d12107618cf2c8b9f",
@@ -63,6 +64,13 @@ STDOUT_DIGESTS = {
         "0a06776781f3f15c492c2d783a4997427a2b3490513e537cfa3b3d2214b98771",
         "481e671f0e48a7889b3c72cdffb479a0b2d02eb8ba051fed90aff6c40a39b461",
         "cac47032516edfd445928244ab6c203f59772b4018de1dd6755ade91fbf69f8c"),
+    "s3_group_gf2.json": (
+        "b35dcc0b80c4ebe826d1e768a680889845ce1ac816d6e92937a97cb7fe104ea8",
+        "123f2f0a722331aceab1f3c2c67ee7c6f5a767569f0798445c3b73071c40884c",
+        "6ef69559bb1bac15295e9474bda767351d019b079d91d3ccc442ce2d07b8ccf5",
+        "0a06776781f3f15c492c2d783a4997427a2b3490513e537cfa3b3d2214b98771",
+        "481e671f0e48a7889b3c72cdffb479a0b2d02eb8ba051fed90aff6c40a39b461",
+        "6c7533c75d02e42e9fd411aab215cbe367b0620375cdb9201fe11b457fc1dea7"),
     "s3_group_gf3.json": (
         "be5a197a1d590982320b9165e509d75cfd6b68f75a4b1d35effed5a3fff1ca5b",
         "408677b3894c2301ffd72c500213ff4de1e947f4f1d2bfcd2310968495bc4c9b",
@@ -77,6 +85,13 @@ STDOUT_DIGESTS = {
         "c6ddc494c77f071ebe69c18328c504c117c22b1231ac2a31b117e6fbed1edede",
         "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
         "e7f80188b05c523c9254f2a52fe35b99f96b752a2ce0cd670e92abe65698850a"),
+    "skew_poly3_gf7.json": (
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "13b5106b7fdc194b5f306fc3703b5029e66aad2874ad8417678b093d6f837d2b",
+        "15e6b19b9da8e4b47a764fc9ed46fab66ab370501c582a5c8c1d5ecbcf0314fb",
+        "c6ddc494c77f071ebe69c18328c504c117c22b1231ac2a31b117e6fbed1edede",
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "04074c476a179beaed48b19cbfbf9c652e5df98753fba0d25ae3a228d5232e39"),
 }
 
 
@@ -121,6 +136,23 @@ def test_check_covers_ambiguities_above_max_degree(capsys, tmp_path):
     assert code == 2
     assert not out
     assert "not confluent" in err and "yxyxxxxy" in err
+
+
+def test_complete_deriving_one_letter_rule_exits_4(capsys, tmp_path):
+    # the relations are valid, but completion derives a rule that relates
+    # the generator x to lower terms; naming it beats an internal message
+    path = tmp_path / "one_letter.json"
+    path.write_text(json.dumps({
+        "generators": ["x", "y"],
+        "relations": ["x*y - 3*y*x - 2*x + 4*y + 1", "x*x - 4*x"],
+        "augmentation": {"x": 4, "y": "-7/4"}}))
+    for command in ("chains", "resolve", "obstructions"):
+        code, out, err = run(capsys, command, str(path), "--complete")
+        assert code == 4
+        assert not out
+        assert err == ("error: relation x + 8/3*y + 2/3 has leading monomial "
+                       "of length 1; eliminate the generator instead of "
+                       "relating it to lower terms\n")
 
 
 def test_gb_complete(capsys):

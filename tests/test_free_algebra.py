@@ -165,16 +165,18 @@ def test_parse_rejects_garbage():
 
 
 def test_finite_field_elements():
+    # GF(p) scalars are plain ints in range(p); GF(p)(value) reduces an
+    # int, a Fraction or a "num/den" string to its residue
     F = anick.GF(7)
-    a = F(3)
-    assert a + a == F(6)
-    assert a * F(5) == F(1)
-    assert -a == F(4)
-    assert F(2) / a == F(3)
-    assert F("1/3") == F(5)
-    assert int(F(10)) == 3
-    with pytest.raises(ZeroDivisionError):
-        F(1) / F(0)
+    assert F(10) == 3 and F(-3) == 4 and F("1/3") == 5
+    assert F(Fraction(-1, 2)) == 3
+    assert all(type(F(v)) is int for v in (10, -3, "1/3", Fraction(5, 2)))
+    assert (F.zero, F.one, F.characteristic) == (0, 1, 7)
+    assert anick.QQ.characteristic == 0
+    assert F.inv(3) == 5
+    for bad in (lambda: F.inv(0), lambda: F.inv(7), lambda: F("1/7")):
+        with pytest.raises(ZeroDivisionError):
+            bad()
     with pytest.raises(ValueError):
         anick.GF(6)
 

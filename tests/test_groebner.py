@@ -326,5 +326,5 @@ def test_finite_field_rewriting():
     nf = rs.normal_form(A.parse("x*x*x"))
     assert A.format(nf) == "3*y*y*x"
     for c in nf.terms.values():
-        assert isinstance(c, anick.FpElement)
+        assert type(c) is int and 0 < c < 7
     assert check_groebner(rs, 6).ok

@@ -1,5 +1,6 @@
 """Differentials, the contracting homotopy, and the complex itself."""
 
+import pathlib
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import anick
 from anick import (NonTermination, NotInKernel, Presentation, ResolutionEngine,
                    ZeroElement)
 from anick.resolution import ModuleElement
+
+PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
 D1_GOLDEN = {
     "z": "[1 | z]",
@@ -194,8 +197,13 @@ def test_homotopy_rejects_noncycles(running_engine):
         running_engine.homotopy(1, running_engine.basis_element(1, "x", "x"))
 
 
-def test_homotopy_random_kernel(running_engine):
-    eng = running_engine
+@pytest.mark.parametrize("name", ["running_example.json",
+                                  "s3_group_gf3.json"])
+def test_homotopy_random_kernel(name):
+    # over GF(3) this also exercises ModuleElement +, - and scale on
+    # residues
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / name))
     rng = random.Random(23)
     for n in (1, 2, 3):
         upstairs = eng.chains(n + 1)
@@ -218,7 +226,7 @@ def test_homotopy_random_kernel(running_engine):
 def test_tied_leading_words_fail(running_engine):
     # [x | y] and [xy | 1] are distinct terms with one word xy; the
     # leading-term scan must refuse them rather than pick one
-    tied = ModuleElement(1, {((0,), (1,)): 1, ((0, 1), ()): 1})
+    tied = ModuleElement(1, {((0,), (1,)): 1, ((0, 1), ()): 1}, 0)
     with pytest.raises(AssertionError, match="share a word"):
         running_engine.module_lm(tied)
     with pytest.raises(AssertionError, match="share a word"):
@@ -230,7 +238,8 @@ def _doctored_engine(presentation, chain_word, extra, debug=False):
     eng = ResolutionEngine.from_presentation(presentation, debug=debug)
     chain = eng.chain_with_word(2, eng.algebra.word(chain_word))
     cycle = eng.differential(chain)
-    eng._d_cache[(2, chain.word)] = cycle + ModuleElement(1, {extra: 1})
+    eng._d_cache[(2, chain.word)] = cycle + ModuleElement(
+        1, {extra: 1}, eng.field.characteristic)
     return eng, cycle
 
 

@@ -1,10 +1,13 @@
 """Scalar types: rationals are native ints unless they are not integral,
-and field.inv is the only division, so no coefficient is ever a float."""
+GF(p) scalars are ints in range(p), and field.inv is the only division,
+so no coefficient is ever a float."""
 
 import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anick
 from anick import (Alphabet, FreeAlgebra, Presentation, ResolutionEngine,
@@ -26,19 +29,25 @@ def test_inv(field, cases):
     for x, want in cases:
         got = field.inv(field(x))
         assert got == field(want)
-        assert got * field(x) == field.one
+        assert field(got * field(x)) == field.one
     for zero in (0, field.zero):
         with pytest.raises(ZeroDivisionError):
             field.inv(zero)
 
 
+def _residue_mod_3(c):
+    return type(c) is int and c in range(3)
+
+
 def test_s3_differential_coefficients_are_exact():
-    pres = Presentation.load(PRESENTATIONS / "s3_group.json")
-    eng = ResolutionEngine.from_presentation(pres)
-    for n in range(1, 9):
-        for c in eng.chains(n):
-            coeffs = eng.differential(c).terms.values()
-            assert all(_exact_rational(v) for v in coeffs), (n, c.word)
+    for name, exact in (("s3_group.json", _exact_rational),
+                        ("s3_group_gf3.json", _residue_mod_3)):
+        eng = ResolutionEngine.from_presentation(
+            Presentation.load(PRESENTATIONS / name))
+        for n in range(1, 9):
+            for c in eng.chains(n):
+                coeffs = eng.differential(c).terms.values()
+                assert all(exact(v) for v in coeffs), (name, n, c.word)
 
 
 def test_completion_with_fractions_keeps_exact_coefficients():
@@ -47,7 +56,50 @@ def test_completion_with_fractions_keeps_exact_coefficients():
     done = complete(RewriteSystem.from_presentation(pres), 7)
     coeffs = [c for rule in done.rules for c in rule.terms.values()]
     assert all(_exact_rational(c) for c in coeffs)
+    # an integral value is an int, never a Fraction with denominator 1
+    assert not any(type(c) is Fraction and c.denominator == 1
+                   for c in coeffs)
     # the completed rules need a non-integral coefficient, so both kinds
     # of scalar are exercised
     assert Fraction(-3, 2) in coeffs
     assert any(type(c) is int for c in coeffs)
+
+
+_WORDS = ["1", "x", "y", "xy", "yx", "xx", "xyy"]
+
+
+@st.composite
+def _residue_case(draw):
+    """A prime p, two polynomials over Q whose coefficients have
+    denominators prime to p, and an integer scale factor."""
+    p = draw(st.sampled_from([2, 3, 7]))
+    coeff = st.builds(Fraction, st.integers(-20, 20),
+                      st.integers(1, 30).filter(lambda d: d % p))
+    poly = st.dictionaries(st.sampled_from(_WORDS), coeff, max_size=5)
+    return p, draw(poly), draw(poly), draw(st.integers(-10, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_case())
+def test_residue_arithmetic_matches_rationals(case):
+    # reduction mod p is a ring map on the rationals with denominators prime
+    # to p, so each operation over Q, mapped into GF(p), must equal the
+    # same operation over GF(p)
+    p, a, b, k = case
+    alphabet = Alphabet(["x", "y"])
+    AQ, AP = FreeAlgebra(alphabet), FreeAlgebra(alphabet, field=anick.GF(p))
+
+    def residues(poly):
+        return AP.poly(poly.terms)
+
+    aq, bq = AQ.poly(a), AQ.poly(b)
+    ap, bp = residues(aq), residues(bq)
+    assert ap == AP.poly(a) and bp == AP.poly(b)
+    pairs = [(aq + bq, ap + bp), (aq - bq, ap - bp), (aq * bq, ap * bp),
+             (-aq, -ap), (aq.scale(k), ap.scale(k))]
+    if ap and ap.lm() == aq.lm():
+        pairs.append((aq.monic(), ap.monic()))
+    for over_q, over_p in pairs:
+        assert residues(over_q) == over_p
+        assert all(type(c) is int and c in range(1, p)
+                   for c in over_p.terms.values())
