@@ -120,6 +120,12 @@ class MonomialOrder:
         # leading-term search call this
         return (sum(map(self.weights.__getitem__, w)), tuple(map(neg, w)))
 
+    def descending_key(self, w):
+        """Key that sorts words from greatest to least: negated weight,
+        then the word itself. This reverses key, since equal-weight words
+        are never prefixes of one another."""
+        return (-sum(map(self.weights.__getitem__, w)), w)
+
 
 def find_subword(w, u):
     """Leftmost start index of u inside w, or None. The empty word matches

@@ -6,6 +6,7 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .errors import BoundExceeded, InvalidPresentation, ZeroPolynomial
 from .fields import QQ, field_from_json
@@ -193,19 +194,27 @@ class RewriteSystem:
                  if w2 != lm), -1, self.algebra.field.characteristic))
 
     def normal_form_word(self, w):
-        """Normal form of a single word, cached."""
+        """Normal form of a single word, cached.
+
+        The greatest pending word is reduced first. Every word in pending
+        has an entry in a heap, keyed once when the word enters; a word
+        whose coefficient cancels leaves its entry behind, to be skipped.
+        """
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
-        keyf = self.algebra.order.key
+        dkey = self.algebra.order.descending_key
         lms = self.leading_words
         first_match = self.automaton().first_match
         p = self.algebra.field.characteristic
         pending = {w: self.algebra.field.one}
+        heap = [dkey(w)]
         normal = {}
-        while pending:
-            u = max(pending, key=keyf)
-            c = pending.pop(u)
+        while heap:
+            u = heappop(heap)[1]
+            c = pending.pop(u, None)
+            if c is None:
+                continue
             pos, ridx = first_match(u)
             if pos < 0:
                 normal[u] = c
@@ -213,9 +222,14 @@ class RewriteSystem:
             lm = lms[ridx]
             prefix = u[:pos]
             suffix = u[pos + len(lm):]
-            axpy(pending, ((prefix + w2 + suffix, c2)
-                           for w2, c2 in self.rules[ridx].terms.items()
-                           if w2 != lm), -c, p)
+            terms = [(prefix + w2 + suffix, c2)
+                     for w2, c2 in self.rules[ridx].terms.items() if w2 != lm]
+            # distinct tail words give distinct words, so each new one
+            # stays in pending after axpy
+            new = [v for v, _ in terms if v not in pending]
+            axpy(pending, terms, -c, p)
+            for v in new:
+                heappush(heap, dkey(v))
         result = Polynomial(self.algebra, normal)
         self._nf_cache[w] = result
         return result
@@ -293,15 +307,18 @@ class CheckReport:
 
 
 def _ambiguities(rs, max_degree):
-    """Yield (overlap, a, b) for each ambiguity of weight <= max_degree in
-    ascending weight; a and b are the normal forms of its two branches."""
+    """Yield each overlap of weight <= max_degree, in ascending weight."""
     weight = rs.algebra.order.weight
     for ov in overlaps(rs):
         if weight(ov.word) > max_degree:
             break
-        a = rs.normal_form(rs.one_step(ov.word, ov.offset_j, ov.j))
-        b = rs.normal_form(rs.one_step(ov.word, ov.offset_i, ov.i))
-        yield ov, a, b
+        yield ov
+
+
+def _branches(rs, ov):
+    """The normal forms of the two ways of rewriting an overlap's word."""
+    return (rs.normal_form(rs.one_step(ov.word, ov.offset_j, ov.j)),
+            rs.normal_form(rs.one_step(ov.word, ov.offset_i, ov.i)))
 
 
 def check_groebner(rs, max_degree):
@@ -313,7 +330,8 @@ def check_groebner(rs, max_degree):
     if max_degree < rs.max_rule_weight():
         raise ValueError("max_degree %d is below the largest rule weight %d"
                          % (max_degree, rs.max_rule_weight()))
-    for ov, a, b in _ambiguities(rs, max_degree):
+    for ov in _ambiguities(rs, max_degree):
+        a, b = _branches(rs, ov)
         if a != b:
             # ambiguities arrive in ascending weight, so everything strictly
             # below the failing word has already passed
@@ -324,31 +342,64 @@ def check_groebner(rs, max_degree):
 
 
 def _interreduce(algebra, rules):
-    rules = [r.monic() for r in rules if r]
-    changed = True
-    while changed:
-        changed = False
-        rules.sort(key=lambda r: algebra.order.key(r.lm()))
-        for idx in range(len(rules)):
-            others = rules[:idx] + rules[idx + 1:]
-            if not others:
-                continue
-            sub = RewriteSystem(algebra, others)
-            nf = sub.normal_form(rules[idx])
-            if nf != rules[idx]:
-                changed = True
-                if nf:
-                    rules[idx] = nf.monic()
-                else:
-                    del rules[idx]
-                break
-    rules.sort(key=lambda r: algebra.order.key(r.lm()))
-    return rules
+    """Interreduce rules: the RewriteSystem of the nonzero rules, each
+    rule's leading word free of every other leading word and its other
+    words normal.
+
+    A pass builds one system and takes its rules in ascending order of
+    leading word, rules with the same leading word in list order. A rule's
+    leading word is rewritten once, at the leftmost occurrence of another
+    leading word, ties toward the lowest index; the rest is reduced by the
+    whole system. The rule cannot fire on its own remainder: every word of
+    it is smaller, and under a graded order a smaller word containing the
+    leading word would weigh more. The first rule that changes is replaced
+    by its reduction, or dropped when that is zero, and a new pass starts.
+    The last pass's system is returned, with its automaton and its cache of
+    normal forms.
+    """
+    keyf = algebra.order.key
+    rules = [r for r in rules if r]
+    while True:
+        rs = RewriteSystem(algebra, rules)
+        lws = rs.leading_words
+        matches = rs.automaton().all_matches
+        # the system sorts descending and stably, so among equal leading
+        # words its order is the list order
+        for i in sorted(range(len(lws)), key=lambda k: (keyf(lws[k]), k)):
+            rule, lw = rs.rules[i], lws[i]
+            tail = Polynomial(algebra, {w: c for w, c in rule.terms.items()
+                                        if w != lw})
+            head = next(((pos, k) for pos, k in matches(lw) if k != i), None)
+            if head is not None:
+                nf = rs.normal_form(rs.one_step(lw, *head) + tail)
+            else:
+                nf = rs.normal_form(tail)
+                if nf == tail:
+                    continue
+                nf = nf + Polynomial(algebra, {lw: rule.terms[lw]})
+            rules = list(rs.rules)
+            if nf:
+                rules[i] = nf
+            else:
+                del rules[i]
+            break
+        else:
+            return rs
 
 
 def complete(rs, max_degree):
     """Bounded completion: resolve ambiguities of weight <= max_degree,
     adding the smallest new rule first, interreducing after each addition.
+
+    Each round adds one rule: the smallest, by leading word and then by
+    text, monic difference of the branch normal forms of an ambiguity that
+    does not resolve. A pair queue keeps the rounds from repeating work:
+    an ambiguity that resolved is not looked at again while both of its
+    rules stay as they were, since later rules only add to the ideal below
+    its word (Bergman's diamond lemma, Adv. Math. 1978). Only the
+    ambiguities of a new or changed rule, and those still unresolved, have
+    their branches reduced, by the system that the interreduction
+    returned, with its automaton and the normal forms it has cached.
 
     The result is independent of the input rule order. Raises BoundExceeded
     when an input rule already outweighs the bound.
@@ -361,17 +412,32 @@ def complete(rs, max_degree):
             raise BoundExceeded(
                 "rule leading monomial %s has weight %d > bound %d"
                 % (algebra.word_str(w), weight(w), max_degree))
-    rules = _interreduce(algebra, list(rs.rules))
+    current = _interreduce(algebra, rs.rules)
+    previous = {}
+    # resolved ambiguities, as (leading word i, leading word j, offset i);
+    # leading words are unique in an interreduced system
+    resolved = set()
     while True:
-        current = RewriteSystem(algebra, rules)
-        candidates = [(a - b).monic()
-                      for _, a, b in _ambiguities(current, max_degree)
-                      if a != b]
+        lws = current.leading_words
+        rules = dict(zip(lws, current.rules))
+        fresh = {lw for lw, r in rules.items() if previous.get(lw) != r}
+        candidates = []
+        for ov in _ambiguities(current, max_degree):
+            li, lj = lws[ov.i], lws[ov.j]
+            pair = (li, lj, ov.offset_i)
+            if pair in resolved and li not in fresh and lj not in fresh:
+                continue
+            a, b = _branches(current, ov)
+            if a == b:
+                resolved.add(pair)
+            else:
+                resolved.discard(pair)
+                candidates.append((a - b).monic())
         if not candidates:
             return current
         candidates.sort(key=lambda p: (keyf(p.lm()), algebra.format(p)))
-        rules.append(candidates[0])
-        rules = _interreduce(algebra, rules)
+        previous = rules
+        current = _interreduce(algebra, current.rules + (candidates[0],))
 
 
 def leading_monomials_oracle(pres, max_degree):

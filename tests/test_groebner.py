@@ -7,11 +7,15 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anick
 from anick import (Alphabet, BoundExceeded, FreeAlgebra, InvalidPresentation,
-                   Presentation, RewriteSystem, check_groebner, complete,
-                   leading_monomials_oracle, overlaps)
+                   MonomialOrder, Polynomial, Presentation, RewriteSystem,
+                   check_groebner, complete, leading_monomials_oracle,
+                   overlaps, words_up_to_weight)
+from anick.free_algebra import axpy
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
@@ -328,3 +332,181 @@ def test_finite_field_rewriting():
     for c in nf.terms.values():
         assert type(c) is int and 0 < c < 7
     assert check_groebner(rs, 6).ok
+
+
+# ---- completion and normal forms against the straightforward versions ----
+
+def reference_interreduce(algebra, rules):
+    """Interreduction that tests each rule against a fresh system of all
+    the others and starts over after every change."""
+    rules = [r.monic() for r in rules if r]
+    changed = True
+    while changed:
+        changed = False
+        rules.sort(key=lambda r: algebra.order.key(r.lm()))
+        for idx in range(len(rules)):
+            others = rules[:idx] + rules[idx + 1:]
+            if not others:
+                continue
+            sub = RewriteSystem(algebra, others)
+            nf = sub.normal_form(rules[idx])
+            if nf != rules[idx]:
+                changed = True
+                if nf:
+                    rules[idx] = nf.monic()
+                else:
+                    del rules[idx]
+                break
+    rules.sort(key=lambda r: algebra.order.key(r.lm()))
+    return rules
+
+
+def reference_complete(rs, max_degree):
+    """Completion that rebuilds the system and recomputes the normal forms
+    of every ambiguity in each round."""
+    algebra = rs.algebra
+    keyf = algebra.order.key
+    weight = algebra.order.weight
+    for w in rs.leading_words:
+        if weight(w) > max_degree:
+            raise BoundExceeded(
+                "rule leading monomial %s has weight %d > bound %d"
+                % (algebra.word_str(w), weight(w), max_degree))
+    rules = reference_interreduce(algebra, list(rs.rules))
+    while True:
+        current = RewriteSystem(algebra, rules)
+        candidates = []
+        for ov in overlaps(current):
+            if weight(ov.word) > max_degree:
+                break
+            a = current.normal_form(
+                current.one_step(ov.word, ov.offset_j, ov.j))
+            b = current.normal_form(
+                current.one_step(ov.word, ov.offset_i, ov.i))
+            if a != b:
+                candidates.append((a - b).monic())
+        if not candidates:
+            return current
+        candidates.sort(key=lambda p: (keyf(p.lm()), algebra.format(p)))
+        rules.append(candidates[0])
+        rules = reference_interreduce(algebra, rules)
+
+
+def reference_normal_form_word(rs, w):
+    """Normal form of a word that keys every pending word at each step."""
+    keyf = rs.algebra.order.key
+    pending = {w: rs.algebra.field.one}
+    normal = {}
+    while pending:
+        u = max(pending, key=keyf)
+        c = pending.pop(u)
+        pos, ridx = rs.automaton().first_match(u)
+        if pos < 0:
+            normal[u] = c
+            continue
+        lm = rs.leading_words[ridx]
+        axpy(pending, ((u[:pos] + w2 + u[pos + len(lm):], c2)
+                       for w2, c2 in rs.rules[ridx].terms.items() if w2 != lm),
+             -c, rs.algebra.field.characteristic)
+    return Polynomial(rs.algebra, normal)
+
+
+FIELDS = [anick.QQ, anick.GF(2), anick.GF(3), anick.GF(7)]
+
+
+@st.composite
+def random_systems(draw, max_terms=4):
+    """An algebra on 2 or 3 letters and a shuffled list of relations, each
+    homogeneous or not, with 1 to max_terms terms of words of length up
+    to 4."""
+    n = draw(st.integers(2, 3))
+    weights = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (1, 2, 1),
+                                    (2, 1, 1)]))[:n]
+    field = draw(st.sampled_from(FIELDS))
+    letters = ["x", "y", "z"][:n]
+    algebra = FreeAlgebra(Alphabet(letters),
+                          MonomialOrder(Alphabet(letters), weights),
+                          field)
+    weight = algebra.order.weight
+    words = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+    coeffs = st.sampled_from([1, -1, 2, -3, "1/2"] if field.characteristic != 2
+                             else [1])
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                             max_size=4).map(tuple))
+        tails = draw(st.lists(words, max_size=max_terms - 1))
+        if draw(st.booleans()):
+            tails = [w for w in tails if weight(w) == weight(lead)]
+        terms = {w: draw(coeffs) for w in tails}
+        terms[lead] = draw(coeffs)
+        p = algebra.poly(terms)
+        if p:
+            relations.append(p)
+    return algebra, draw(st.permutations(relations))
+
+
+def _completion(fn, algebra, relations, bound):
+    try:
+        done = fn(RewriteSystem(algebra, relations), bound)
+    except Exception as exc:  # both sides must raise the same type
+        return type(exc)
+    return done
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems(), st.integers(3, 6))
+def test_complete_matches_reference(system, bound):
+    algebra, relations = system
+    done = _completion(complete, algebra, relations, bound)
+    want = _completion(reference_complete, algebra, relations, bound)
+    if isinstance(want, type):
+        assert done is want
+    else:
+        assert done.rules == want.rules
+        assert check_groebner(done, bound).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_systems(max_terms=3))
+def test_normal_form_word_matches_reference(system):
+    algebra, relations = system
+    # the rules as given: neither minimal nor reduced, in general
+    rs = RewriteSystem(algebra, relations)
+    for w in words_up_to_weight(algebra.alphabet, algebra.order, 6):
+        assert rs.normal_form_word(w) == reference_normal_form_word(rs, w)
+
+
+def test_descending_key_reverses_key():
+    alphabet = Alphabet(["x", "y", "z"])
+    order = MonomialOrder(alphabet, (2, 1, 3))
+    words = words_up_to_weight(alphabet, order, 6)
+    # equal weights, different lengths: the case the tie-break must handle
+    assert order.weight((0, 0)) == order.weight((1, 2))
+    assert sorted(words, key=order.descending_key) == \
+        sorted(words, key=order.key, reverse=True)
+
+
+def test_completion_builds_few_systems(monkeypatch):
+    built = {"automata": 0, "systems": 0, "normal_form": 0}
+
+    def counting(cls, name, counter):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            built[counter] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(anick.NormalWordAutomaton, "__init__", "automata")
+    counting(RewriteSystem, "__init__", "systems")
+    counting(RewriteSystem, "normal_form", "normal_form")
+    pres = Presentation.load(PRESENTATIONS.parent / "perfbench" / "inputs"
+                             / "xyz.json")
+    done = complete(RewriteSystem.from_presentation(pres), 8)
+    assert len(done.rules) == 31
+    # rebuilding a system for every rule tested and every round made 523
+    # automata and 3,063 normal-form calls
+    assert built["automata"] < 60
+    assert built["systems"] < 60
+    assert built["normal_form"] == 1169
