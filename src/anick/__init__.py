@@ -11,7 +11,7 @@ from .errors import (AnickError, BoundExceeded, InvalidPresentation,
                      NotInKernel, NotMinimal, ZeroElement, ZeroPolynomial)
 from .fields import GF, QQ, PrimeField, RationalField
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
-                           find_subword, words_up_to_weight)
+                           words_up_to_weight)
 from .groebner import (CheckReport, Overlap, Presentation, RewriteSystem,
                        check_groebner, complete, leading_monomials_oracle,
                        overlaps)
@@ -29,8 +29,8 @@ __all__ = [
     "QQ", "RationalField", "ResolutionEngine", "RewriteSystem",
     "ZeroElement", "ZeroPolynomial", "antichain_from_oim",
     "bracket_prefix", "bracket_tail", "build_chain_graph", "check_groebner",
-    "complete", "enumerate_chains", "enumerate_prechains", "find_subword",
-    "identity_chain", "is_chain_top_down", "is_prechain",
-    "leading_monomials_oracle", "obstructions", "oim_from_antichain",
-    "overlaps", "split_chain", "words_up_to_weight",
+    "complete", "enumerate_chains", "enumerate_prechains", "identity_chain",
+    "is_chain_top_down", "is_prechain", "leading_monomials_oracle",
+    "obstructions", "oim_from_antichain", "overlaps", "split_chain",
+    "words_up_to_weight",
 ]

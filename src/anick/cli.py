@@ -8,7 +8,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import AnickError, BoundExceeded, NotGroebner
 from .groebner import Presentation, RewriteSystem, check_groebner, complete
@@ -20,23 +19,6 @@ EXIT_BOUND = 3
 EXIT_INPUT = 4
 
 
-@dataclass
-class RunReport:
-    """What a command run produced; timings stay off stdout so identical
-    inputs give byte-identical output."""
-
-    command: str
-    digest: str
-    results: dict
-    status: int = 0
-    timings: dict = field(default_factory=dict)
-    text: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"command": self.command, "digest": self.digest,
-                "results": self.results, "status": self.status}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which collides with the
     # counterexample code; remap to the input-error code
@@ -45,10 +27,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
+# Each _cmd_* handler returns (results, text lines, exit status); main
+# writes the text or wraps the results in the JSON report.
+
 def _engine(pres, args):
     return ResolutionEngine.from_presentation(
-        pres, max_degree=args.max_degree,
-        complete_system=getattr(args, "complete", False))
+        pres, max_degree=args.max_degree, complete_system=args.complete)
 
 
 def _cmd_gb_check(pres, args):
@@ -61,8 +45,7 @@ def _cmd_gb_check(pres, args):
         results = {"verified": True, "degree_bound": bound, "rules": rules}
         text = ["status: verified", "degree-bound: %d" % bound]
         text += ["rule: %s" % s for s in rules]
-        return RunReport("gb-check", pres.digest(), results, EXIT_OK,
-                         text=text)
+        return results, text, EXIT_OK
     a, b = rep.branches
     results = {"verified": False, "degree_bound": bound, "rules": rules,
                "counterexample": alg.word_str(rep.counterexample),
@@ -73,8 +56,7 @@ def _cmd_gb_check(pres, args):
             "branch: %s" % alg.format(a),
             "branch: %s" % alg.format(b),
             "s-polynomial: %s" % alg.format(rep.spoly_normal_form)]
-    return RunReport("gb-check", pres.digest(), results,
-                     EXIT_COUNTEREXAMPLE, text=text)
+    return results, text, EXIT_COUNTEREXAMPLE
 
 
 def _cmd_gb_complete(pres, args):
@@ -85,8 +67,7 @@ def _cmd_gb_complete(pres, args):
     results = {"degree_bound": args.max_degree, "rules": rules}
     text = ["degree-bound: %d" % args.max_degree]
     text += ["rule: %s" % s for s in rules]
-    return RunReport("gb-complete", pres.digest(), results, EXIT_OK,
-                     text=text)
+    return results, text, EXIT_OK
 
 
 def _cmd_normal_words(pres, args):
@@ -98,16 +79,14 @@ def _cmd_normal_words(pres, args):
                "words": [ws(w) for w in words]}
     text = ["counts: %s" % " ".join(str(c) for c in counts)]
     text += [ws(w) for w in words]
-    return RunReport("normal-words", pres.digest(), results, EXIT_OK,
-                     text=text)
+    return results, text, EXIT_OK
 
 
 def _cmd_obstructions(pres, args):
     eng = _engine(pres, args)
     ws = pres.algebra.word_str
     words = [ws(w) for w in eng.obstruction_set.words]
-    return RunReport("obstructions", pres.digest(),
-                     {"obstructions": words}, EXIT_OK, text=list(words))
+    return {"obstructions": words}, words, EXIT_OK
 
 
 def _cmd_chain_graph(pres, args):
@@ -133,17 +112,14 @@ def _cmd_chain_graph(pres, args):
             fh.write(graph.to_dot(prune=True))
         results["dot_file"] = args.dot
         text.append("dot-file: %s" % args.dot)
-    return RunReport("chain-graph", pres.digest(), results, EXIT_OK,
-                     text=text)
+    return results, text, EXIT_OK
 
 
 def _cmd_chains(pres, args):
     eng = _engine(pres, args)
     ws = pres.algebra.word_str
     words = [ws(c.word) for c in eng.chains(args.degree)]
-    results = {"degree": args.degree, "chains": words}
-    return RunReport("chains", pres.digest(), results, EXIT_OK,
-                     text=list(words))
+    return {"degree": args.degree, "chains": words}, words, EXIT_OK
 
 
 def _cmd_resolve(pres, args):
@@ -163,7 +139,7 @@ def _cmd_resolve(pres, args):
                         % (n - 1, n, ws(c.word), entry["homotopy"]))
         entries.append(entry)
     results = {"degree": n, "differentials": entries}
-    return RunReport("resolve", pres.digest(), results, EXIT_OK, text=text)
+    return results, text, EXIT_OK
 
 
 def _cmd_verify(pres, args):
@@ -181,7 +157,7 @@ def _cmd_verify(pres, args):
     else:
         text.append("verification failed")
         status = EXIT_COUNTEREXAMPLE
-    return RunReport("verify", pres.digest(), results, status, text=text)
+    return results, text, status
 
 
 def _cmd_diagnose(pres, args):
@@ -211,7 +187,7 @@ def _cmd_diagnose(pres, args):
     else:
         text.append("minimal through degree %d" % args.degree)
     results = {"degrees": degrees, "nonminimal_degrees": bad}
-    return RunReport("diagnose", pres.digest(), results, EXIT_OK, text=text)
+    return results, text, EXIT_OK
 
 
 def _build_parser():
@@ -276,7 +252,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         pres = Presentation.load(args.presentation)
-        report = args.handler(pres, args)
+        results, text, status = args.handler(pres, args)
     except BoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
@@ -286,14 +262,15 @@ def main(argv=None):
     except (AnickError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    report.timings["seconds"] = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_json(), sort_keys=True,
-                                    indent=2) + "\n")
+        report = {"command": args.command, "digest": pres.digest(),
+                  "results": results, "status": status}
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write("\n".join(report.text) + "\n")
-    print("# elapsed: %.3fs" % report.timings["seconds"], file=sys.stderr)
-    return report.status
+        sys.stdout.write("\n".join(text) + "\n")
+    print("# elapsed: %.3fs" % elapsed, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

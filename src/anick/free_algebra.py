@@ -127,16 +127,6 @@ class MonomialOrder:
         return (-sum(map(self.weights.__getitem__, w)), w)
 
 
-def find_subword(w, u):
-    """Leftmost start index of u inside w, or None. The empty word matches
-    at 0."""
-    m = len(u)
-    for i in range(len(w) - m + 1):
-        if w[i:i + m] == u:
-            return i
-    return None
-
-
 def words_up_to_weight(alphabet, order, max_weight):
     """All words of weight <= max_weight, ascending by the order key."""
     out = []

@@ -27,7 +27,7 @@ def require_long_leading_word(algebra, rule, lm):
 
 class Presentation:
     """Augmented algebra presentation: generators, graded order, relations,
-    and an augmentation given by a scalar value per generator."""
+    and an augmentation mapping generator names to scalars (0 if absent)."""
 
     def __init__(self, algebra, relations, augmentation=None):
         self.algebra = algebra
@@ -39,17 +39,12 @@ class Presentation:
                 raise InvalidPresentation("zero relation")
             rels.append(r)
         self.relations = tuple(rels)
-        n = len(algebra.alphabet)
         if augmentation is None:
-            aug = (algebra.field.zero,) * n
-        elif isinstance(augmentation, dict):
-            aug = tuple(algebra.field(augmentation.get(name, 0))
-                        for name in algebra.alphabet.letters)
-        else:
-            aug = tuple(algebra.field(v) for v in augmentation)
-            if len(aug) != n:
-                raise InvalidPresentation("augmentation arity mismatch")
-        self.augmentation = aug
+            augmentation = {}
+        elif not isinstance(augmentation, dict):
+            raise InvalidPresentation("augmentation must be a mapping")
+        self.augmentation = tuple(algebra.field(augmentation.get(name, 0))
+                                  for name in algebra.alphabet.letters)
         for r in self.relations:
             require_long_leading_word(algebra, r, r.lm())
             if self.augmentation_eval(r):

@@ -387,6 +387,8 @@ class ResolutionEngine:
 
     def verify_complex(self, max_degree):
         """Check d_{n-1} d_n = 0 on every basis chain up to max_degree."""
+        if max_degree < 1:
+            raise ValueError("nothing to verify below degree 1")
         rows = []
         for n in range(1, max_degree + 1):
             t0 = time.perf_counter()
@@ -412,6 +414,8 @@ class ResolutionEngine:
         maps (row index, column index) to each nonzero value of eps(d_n),
         keyed in row-major order, and nonzero is bool(entries).
         """
+        if max_degree < 1:
+            raise ValueError("nothing to diagnose below degree 1")
         out = {}
         for n in range(1, max_degree + 1):
             rows = self.chains(n - 1)

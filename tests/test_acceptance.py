@@ -14,6 +14,7 @@ import time
 
 import anick
 from anick.cli import main as cli_main
+from test_wordops import is_antichain
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNNING = ROOT / "presentations" / "running_example.json"
@@ -136,8 +137,7 @@ def test_criterion_06_definitions_match():
         antichains = [[]]
         for bits in range(1, 1 << len(words23)):
             sub = [w for k, w in enumerate(words23) if bits >> k & 1]
-            if all(anick.find_subword(w, u) is None
-                   for u in sub for w in sub if u != w):
+            if is_antichain(sub):
                 antichains.append(sub)
 
         def definitions_agree(alphabet, obs_words, long_candidates):
@@ -177,7 +177,7 @@ def test_criterion_06_definitions_match():
                    for _ in range(rng.randrange(1, 6))]
             kept = []
             for w in sorted(set(raw), key=len):
-                if all(anick.find_subword(w, u) is None for u in kept):
+                if is_antichain(kept + [w]):
                     kept.append(w)
             definitions_agree(three, kept, long_candidates=True)
 
@@ -210,16 +210,12 @@ def test_criterion_08_oim_bijection():
                        for w in sub for i in range(len(w) + 1)
                        for j in range(i, len(w) + 1) if w[i:j] != w)
 
-        def antichain(sub):
-            return all(anick.find_subword(w, u) is None
-                       for u in sub for w in sub if u != w)
-
         universe = list(poset)
         all_antichains = set()
         all_ideals = set()
         for bits in range(1 << len(universe)):
             sub = frozenset(w for k, w in enumerate(universe) if bits >> k & 1)
-            if antichain(sub):
+            if is_antichain(sub):
                 all_antichains.add(sub)
             if closed(sub):
                 all_ideals.add(sub)

@@ -11,6 +11,7 @@ from anick import (Alphabet, Chain, ObstructionSet, RewriteSystem,
                    build_chain_graph, enumerate_chains, enumerate_prechains,
                    identity_chain, is_chain_top_down, is_prechain,
                    obstructions, oim_from_antichain, split_chain)
+from test_wordops import is_antichain
 
 XY = Alphabet(["x", "y"])
 
@@ -45,11 +46,6 @@ def poset_words(max_len):
     for n in range(max_len + 1):
         out.extend(itertools.product(range(2), repeat=n))
     return out
-
-
-def is_antichain(words):
-    return all(anick.find_subword(w, u) is None
-               for u in words for w in words if u != w)
 
 
 def is_closed(poset, subset):

@@ -6,7 +6,10 @@ import pathlib
 
 import pytest
 
+import anick.cli
+from anick import Presentation
 from anick.cli import main
+from test_resolution import doctored_engine
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNNING = str(ROOT / "presentations" / "running_example.json")
@@ -264,6 +267,29 @@ def test_verify(capsys):
     lines = out.splitlines()
     assert lines[0] == "degree 1: 3 chains, ok"
     assert lines[-1] == "verified: degrees 1..4"
+
+
+def test_verify_failure(capsys, monkeypatch):
+    # [z | 1] added to d_2(xxx) breaks d d = 0 at degree 2
+    eng, _ = doctored_engine(Presentation.load(RUNNING), "xxx", ((2,), ()))
+    monkeypatch.setattr(anick.cli.ResolutionEngine, "from_presentation",
+                        lambda pres, **kwargs: eng)
+    code, out, _ = run(capsys, "verify", RUNNING, "--degree", "2")
+    assert code == 2
+    assert out.splitlines() == [
+        "degree 1: 3 chains, ok",
+        "degree 2: 3 chains, FAILED",
+        "verification failed",
+    ]
+
+
+@pytest.mark.parametrize("command,degree", [
+    ("verify", "0"), ("verify", "-1"), ("diagnose", "0"), ("diagnose", "-2")])
+def test_reports_below_degree_one_exit_4(capsys, command, degree):
+    code, out, err = run(capsys, command, RUNNING, "--degree", degree)
+    assert code == 4
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_diagnose(capsys):

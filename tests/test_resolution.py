@@ -233,25 +233,26 @@ def test_tied_leading_words_fail(running_engine):
         running_engine._lift(1, tied)
 
 
-def _doctored_engine(presentation, chain_word, extra, debug=False):
-    """An engine whose cached d_2 of chain_word carries one extra term."""
+def doctored_engine(presentation, chain_word, extra, debug=False, degree=2):
+    """An engine whose cached d_degree of chain_word carries one extra
+    term."""
     eng = ResolutionEngine.from_presentation(presentation, debug=debug)
-    chain = eng.chain_with_word(2, eng.algebra.word(chain_word))
+    chain = eng.chain_with_word(degree, eng.algebra.word(chain_word))
     cycle = eng.differential(chain)
-    eng._d_cache[(2, chain.word)] = cycle + ModuleElement(
-        1, {extra: 1}, eng.field.characteristic)
+    eng._d_cache[(degree, chain.word)] = cycle + ModuleElement(
+        degree - 1, {extra: 1}, eng.field.characteristic)
     return eng, cycle
 
 
 def test_lift_guards(running_presentation):
     # a term above the leading word left behind by the subtraction
-    eng, cycle = _doctored_engine(running_presentation, "xxx",
-                                  ((0,), (0,) * 6))
+    eng, cycle = doctored_engine(running_presentation, "xxx",
+                                 ((0,), (0,) * 6))
     with pytest.raises(NonTermination, match="failed to decrease"):
         eng._lift(1, cycle)
     # a term below it that is no cycle, caught only by the debug check
-    eng, cycle = _doctored_engine(running_presentation, "xxx", ((2,), ()),
-                                  debug=True)
+    eng, cycle = doctored_engine(running_presentation, "xxx", ((2,), ()),
+                                 debug=True)
     with pytest.raises(NotInKernel, match="lost mid-recursion"):
         eng._lift(1, cycle)
     # a leading word with no obstruction past its chain
@@ -276,6 +277,24 @@ def test_debug_checks_pass_and_agree(running_presentation, running_engine):
     for n in range(1, 7):
         assert differentials(eng, n) == differentials(running_engine, n)
     assert all(r.ok for r in eng.verify_complex(6))
+
+
+def test_verify_complex_reports_failures(running_presentation):
+    # [z | 1] added to d_2(xxx) is no cycle: d_1 d_2 != 0 at degree 2
+    eng, _ = doctored_engine(running_presentation, "xxx", ((2,), ()))
+    assert [(r.degree, r.chains, r.ok) for r in eng.verify_complex(2)] == [
+        (1, 3, True), (2, 3, False)]
+    # [1 | 1] added to d_1(x) survives the augmentation
+    eng, _ = doctored_engine(running_presentation, "x", ((), ()), degree=1)
+    assert [(r.degree, r.chains, r.ok) for r in eng.verify_complex(1)] == [
+        (1, 3, False)]
+
+
+def test_reports_need_degree_one(running_engine):
+    with pytest.raises(ValueError, match="below degree 1"):
+        running_engine.verify_complex(0)
+    with pytest.raises(ValueError, match="below degree 1"):
+        running_engine.minimality_diagnostic(-2)
 
 
 # ---- diagnostics ----
