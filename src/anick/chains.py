@@ -95,36 +95,26 @@ def antichain_from_oim(poset, oim):
     return frozenset(y for j, y in enumerate(comp.patterns) if j not in above)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Chain:
-    """A degree-n chain: its word, node path, and obstruction placements.
+    """A degree-n chain, as plain data.
 
-    path includes the leading empty root node. starts/ends hold the
-    1-indexed obstruction spans (n-1 of them for degree n >= 2); the last
-    span always ends at len(word).
+    degree is n and word the chain word. node is the last node of the
+    chain's path in the chain graph: the part of word after the previous
+    obstruction span, the empty root for degree 0 and the letter itself
+    for degree 1. starts/ends hold the 1-indexed obstruction spans (n-1
+    of them for degree n >= 2); the last span always ends at len(word).
     """
 
     degree: int
     word: tuple
-    path: tuple
+    node: tuple
     starts: tuple
     ends: tuple
 
 
 def identity_chain():
-    return Chain(0, (), ((),), (), ())
-
-
-def extend_chain(chain, node, witness):
-    """Extend a chain along a graph edge; placements follow by induction."""
-    word = chain.word + node
-    if chain.degree == 0:
-        return Chain(1, word, chain.path + (node,), (), ())
-    prev_end = chain.ends[-1] if chain.ends else len(chain.word)
-    end = prev_end + len(node)
-    start = end - len(witness) + 1
-    return Chain(chain.degree + 1, word, chain.path + (node,),
-                 chain.starts + (start,), chain.ends + (end,))
+    return Chain(0, (), (), (), ())
 
 
 def prefix_length(chain, m):
@@ -145,8 +135,9 @@ def bracket_prefix(chain, m):
         return chain
     if m == 0:
         return identity_chain()
-    return Chain(m, chain.word[:prefix_length(chain, m)], chain.path[:m + 1],
-                 chain.starts[:max(m - 1, 0)], chain.ends[:max(m - 1, 0)])
+    start, end = prefix_length(chain, m - 1), prefix_length(chain, m)
+    return Chain(m, chain.word[:end], chain.word[start:end],
+                 chain.starts[:m - 1], chain.ends[:m - 1])
 
 
 def bracket_tail(chain, m):
@@ -245,14 +236,25 @@ def enumerate_chains(graph, degree, order=None):
         raise ValueError("negative degree")
     if order is None:
         order = MonomialOrder(graph.alphabet)
-    chains = [identity_chain()]
-    for _ in range(degree):
+    if degree == 0:
+        return [identity_chain()]
+    edges = graph.edges
+    chains = [Chain(1, node, node, (), ()) for node, _ in edges[()]]
+    # the last span of a chain ends its word, so the new span ends the
+    # extended word and starts where the edge witness does
+    for n in range(2, degree + 1):
         nxt = []
+        append = nxt.append
         for c in chains:
-            for dst, witness in graph.edges.get(c.path[-1], ()):
-                nxt.append(extend_chain(c, dst, witness))
+            word, starts, ends = c.word, c.starts, c.ends
+            for node, witness in edges.get(c.node, ()):
+                w = word + node
+                end = len(w)
+                append(Chain(n, w, node, starts + (end - len(witness) + 1,),
+                             ends + (end,)))
         chains = nxt
-    chains.sort(key=lambda c: order.key(c.word))
+    dkey = order.descending_key
+    chains.sort(key=lambda c: dkey(c.word), reverse=True)
     words = {c.word for c in chains}
     assert len(words) == len(chains), "chain words at one degree must be distinct"
     return chains

@@ -3,6 +3,7 @@ bounded completion, and normal-word enumeration and counting."""
 
 import hashlib
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,8 +195,17 @@ class RewriteSystem:
         The greatest pending word is reduced first. Every word in pending
         has an entry in a heap, keyed once when the word enters; a word
         whose coefficient cancels leaves its entry behind, to be skipped.
+
+        A pending word whose normal form is cached adds that form, times
+        its coefficient, instead of being rewritten. This is the same
+        answer, on systems that are not confluent too: a reducible word
+        is always rewritten by the same rule at its leftmost match, and
+        pending words are popped greatest first, each once, so the result
+        is the linear map F with F(u) = F(one step on u) and F(u) = u for
+        normal u. The cached form of u is F(u).
         """
-        cached = self._nf_cache.get(w)
+        cache = self._nf_cache
+        cached = cache.get(w)
         if cached is not None:
             return cached
         dkey = self.algebra.order.descending_key
@@ -210,9 +220,13 @@ class RewriteSystem:
             c = pending.pop(u, None)
             if c is None:
                 continue
+            known = cache.get(u)
+            if known is not None:
+                axpy(normal, known.terms.items(), c, p)
+                continue
             pos, ridx = first_match(u)
             if pos < 0:
-                normal[u] = c
+                axpy(normal, ((u, c),), 1, p)
                 continue
             lm = lms[ridx]
             prefix = u[:pos]
@@ -226,7 +240,7 @@ class RewriteSystem:
             for v in new:
                 heappush(heap, dkey(v))
         result = Polynomial(self.algebra, normal)
-        self._nf_cache[w] = result
+        cache[w] = result
         return result
 
     def normal_form(self, p):
@@ -277,16 +291,28 @@ def overlaps(rs):
     weight, then alphabetically, matching the word listing convention, so
     bounded scans proceed in ascending weight.
     """
+    return _ambiguities(rs, math.inf)
+
+
+def _ambiguities(rs, max_weight):
+    """The overlaps of rs whose word weighs at most max_weight, sorted as
+    overlaps() sorts them. A pair is skipped by weight before its word is
+    built; the key (weight, word, i, j, offset_i) names each one once."""
     lms = rs.leading_words
     weight = rs.algebra.order.weight
     matches = rs.automaton().all_matches
+    wts = [weight(t) for t in lms]
     out = [Overlap(i, j, t, p, 0)
-           for j, t in enumerate(lms) for p, i in matches(t) if i != j]
+           for j, t in enumerate(lms) if wts[j] <= max_weight
+           for p, i in matches(t) if i != j]
     for j, t in enumerate(lms):
-        for i, s in enumerate(lms):
-            for k in range(1, len(t)):
-                shared = len(t) - k
-                if shared < len(s) and t[k:] == s[:shared]:
+        for k in range(1, len(t)):
+            shared = len(t) - k
+            # t + s[shared:] weighs wts[j] + wts[i] - weight(t[k:])
+            room = max_weight - wts[j] + weight(t[k:])
+            for i, s in enumerate(lms):
+                if (wts[i] <= room and shared < len(s)
+                        and t[k:] == s[:shared]):
                     out.append(Overlap(i, j, t + s[shared:], k, 0))
     out.sort(key=lambda ov: (weight(ov.word), ov.word, ov.i, ov.j, ov.offset_i))
     return out
@@ -299,15 +325,6 @@ class CheckReport:
     counterexample: tuple = None
     branches: tuple = None
     spoly_normal_form: object = None
-
-
-def _ambiguities(rs, max_degree):
-    """Yield each overlap of weight <= max_degree, in ascending weight."""
-    weight = rs.algebra.order.weight
-    for ov in overlaps(rs):
-        if weight(ov.word) > max_degree:
-            break
-        yield ov
 
 
 def _branches(rs, ov):

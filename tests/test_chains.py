@@ -2,16 +2,23 @@
 characterizations."""
 
 import itertools
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anick
-from anick import (Alphabet, Chain, ObstructionSet, RewriteSystem,
-                   antichain_from_oim, bracket_prefix, bracket_tail,
-                   build_chain_graph, enumerate_chains, enumerate_prechains,
-                   identity_chain, is_chain_top_down, is_prechain,
-                   obstructions, oim_from_antichain, split_chain)
-from test_wordops import is_antichain
+from anick import (Alphabet, Chain, ObstructionSet, Presentation,
+                   RewriteSystem, antichain_from_oim, bracket_prefix,
+                   bracket_tail, build_chain_graph, complete,
+                   enumerate_chains, enumerate_prechains, identity_chain,
+                   is_chain_top_down, is_prechain, obstructions,
+                   oim_from_antichain, split_chain)
+from test_wordops import is_antichain, ref_find_subword
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+XYZ = ROOT / "perfbench" / "inputs" / "xyz.json"
 
 XY = Alphabet(["x", "y"])
 
@@ -187,19 +194,28 @@ def test_chain_structure(running):
     by_word = {ws(c.word): c for c in enumerate_chains(graph, 3)}
     c = by_word["xxyxz"]
     assert c.degree == 3
-    assert [ws(p) for p in c.path] == ["1", "x", "xyx", "z"]
+    assert c.node == (2,)
     assert c.starts == (1, 3)
     assert c.ends == (4, 5)
-    # path concatenation spells the word, spans are obstruction occurrences
+    # the node is the word after the previous span, spans are obstruction
+    # occurrences, and the last span ends the word
     for c in enumerate_chains(graph, 4):
-        assert sum(c.path, ()) == c.word
+        prev_end = c.ends[-2]
+        assert c.word[prev_end:] == c.node
+        assert c.ends[-1] == len(c.word)
         for a, b in zip(c.starts, c.ends):
             assert c.word[a - 1:b] in {w for w in graph.obstructions.words}
 
 
+def test_chain_has_no_dict():
+    # slotted: tens of thousands of chains per degree stay small
+    assert not hasattr(identity_chain(), "__dict__")
+
+
 def test_identity_chain():
     c = identity_chain()
-    assert c.degree == 0 and c.word == () and c.path == ((),)
+    assert c.degree == 0 and c.word == () and c.node == ()
+    assert c.starts == () and c.ends == ()
 
 
 # ---- bracket decomposition ----
@@ -234,10 +250,13 @@ def test_bracket_prefixes(running):
 def test_bracket_prefix_is_chain(running):
     # every prefix of a chain is itself a chain of lower degree
     pres, obs, graph = running
+    by_word = [{c.word: c for c in enumerate_chains(graph, m)}
+               for m in range(5)]
     for c in enumerate_chains(graph, 4):
         for m in range(5):
             sub = bracket_prefix(c, m)
             assert is_chain_top_down(sub.word, m, obs) == (sub.starts, sub.ends)
+            assert sub == by_word[m][sub.word]
 
 
 # ---- top-down characterization ----
@@ -318,3 +337,56 @@ def test_chains_are_prechains(running):
     for n in range(2, 6):
         words = {c.word for c in enumerate_chains(graph, n)}
         assert words <= enumerate_prechains(obs, n)
+
+
+# ---- Anick's Euler identity ----
+
+def euler_product(graph, automaton, n_letters, max_weight):
+    """N(t) * sum_n (-1)^n C_n(t) mod t^(max_weight + 1), as coefficients.
+
+    N counts the normal words and C_n the degree-n chain words, both by
+    weight, which is the length here: every letter weighs 1. The Anick
+    resolution is exact, so the product is 1 (Anick 1986, Trans. AMS 296).
+    """
+    normal = automaton.counts(max_weight, n_letters)
+    alternating = [0] * (max_weight + 1)
+    for n in range(max_weight + 1):
+        lengths = [len(c.word) for c in enumerate_chains(graph, n)]
+        for k in lengths:
+            if k <= max_weight:
+                alternating[k] += (-1) ** n
+        # an edge adds a nonempty node, so each degree outweighs the last
+        if not lengths or min(lengths) >= max_weight:
+            break
+    return [sum(normal[i] * alternating[k - i] for i in range(k + 1))
+            for k in range(max_weight + 1)]
+
+
+@st.composite
+def random_antichains(draw):
+    """2 or 3 letters and an anti-chain of 1 to 4 words of length 2 to 4:
+    the minimal words of a random list."""
+    n = draw(st.integers(2, 3))
+    words = set(draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=4).map(tuple),
+        min_size=1, max_size=4)))
+    return n, [w for w in words
+               if not any(u != w and ref_find_subword(w, u) is not None
+                          for u in words)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_antichains(), st.integers(0, 8))
+def test_euler_identity_random_antichains(system, max_weight):
+    n, words = system
+    obs = ObstructionSet(words)
+    graph = build_chain_graph(obs, Alphabet(["x", "y", "z"][:n]))
+    assert euler_product(graph, obs.automaton, n, max_weight) == \
+        [1] + [0] * max_weight
+
+
+def test_euler_identity_xyz():
+    pres = Presentation.load(XYZ)
+    done = complete(RewriteSystem.from_presentation(pres), 8)
+    graph = build_chain_graph(obstructions(done), pres.algebra.alphabet)
+    assert euler_product(graph, done.automaton(), 3, 6) == [1] + [0] * 6

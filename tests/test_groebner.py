@@ -477,6 +477,20 @@ def test_normal_form_word_matches_reference(system):
         assert rs.normal_form_word(w) == reference_normal_form_word(rs, w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_systems(), st.data())
+def test_normal_form_word_cache_order(system, data):
+    algebra, relations = system
+    rs = RewriteSystem(algebra, relations)
+    words = words_up_to_weight(algebra.alphabet, algebra.order, 6)
+    # warming the cache in any order leaves every normal form as it was,
+    # also where the system is not confluent
+    for w in data.draw(st.permutations(words)):
+        rs.normal_form_word(w)
+    for w in words:
+        assert rs.normal_form_word(w) == reference_normal_form_word(rs, w)
+
+
 def test_descending_key_reverses_key():
     alphabet = Alphabet(["x", "y", "z"])
     order = MonomialOrder(alphabet, (2, 1, 3))
