@@ -80,7 +80,13 @@ class Alphabet:
 
 class MonomialOrder:
     """Weight-graded order on words: compare total weight, then left-to-right
-    by letter precedence (earlier alphabet letters are greater)."""
+    by letter precedence (earlier alphabet letters are greater).
+
+    weight(w) is the total weight of the word w, the sum of its letters'
+    weights. It is bound once, to the cheapest exact rule: len when every
+    letter weighs 1, since a sum of ones is the number of letters, and
+    the sum over the letters otherwise.
+    """
 
     def __init__(self, alphabet, weights=None):
         self.alphabet = alphabet
@@ -101,6 +107,10 @@ class MonomialOrder:
                 for e in wt):
             raise ValueError("weights must assign an integer >= 1 to each letter")
         self.weights = wt
+        if all(e == 1 for e in wt):
+            self.weight = len
+        else:
+            self.weight = lambda w: sum(map(wt.__getitem__, w))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -110,21 +120,16 @@ class MonomialOrder:
     def __repr__(self):
         return "MonomialOrder(%r, weights=%r)" % (self.alphabet, list(self.weights))
 
-    def weight(self, w):
-        return sum(map(self.weights.__getitem__, w))
-
     def key(self, w):
         # equal-weight words are never prefixes of one another, so plain
-        # tuple comparison on negated indices realizes the precedence;
-        # inlined rather than calling weight(), since sorting and every
-        # leading-term search call this
-        return (sum(map(self.weights.__getitem__, w)), tuple(map(neg, w)))
+        # tuple comparison on negated indices realizes the precedence
+        return (self.weight(w), tuple(map(neg, w)))
 
     def descending_key(self, w):
         """Key that sorts words from greatest to least: negated weight,
         then the word itself. This reverses key, since equal-weight words
         are never prefixes of one another."""
-        return (-sum(map(self.weights.__getitem__, w)), w)
+        return (-self.weight(w), w)
 
 
 def words_up_to_weight(alphabet, order, max_weight):

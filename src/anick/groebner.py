@@ -294,23 +294,32 @@ def overlaps(rs):
     return _ambiguities(rs, math.inf)
 
 
-def _ambiguities(rs, max_weight):
+def _ambiguities(rs, max_weight, new=None):
     """The overlaps of rs whose word weighs at most max_weight, sorted as
     overlaps() sorts them. A pair is skipped by weight before its word is
-    built; the key (weight, word, i, j, offset_i) names each one once."""
+    built; the key (weight, word, i, j, offset_i) names each one once.
+
+    With new, a set of rule indices, only the overlaps of which one rule
+    or both are in new: the others are those of the other rules alone.
+    """
     lms = rs.leading_words
     weight = rs.algebra.order.weight
     matches = rs.automaton().all_matches
     wts = [weight(t) for t in lms]
+    everyone = range(len(lms))
+    if new is None:
+        new = everyone
     out = [Overlap(i, j, t, p, 0)
            for j, t in enumerate(lms) if wts[j] <= max_weight
-           for p, i in matches(t) if i != j]
+           for p, i in matches(t) if i != j and (i in new or j in new)]
     for j, t in enumerate(lms):
+        partners = everyone if j in new else new
         for k in range(1, len(t)):
             shared = len(t) - k
             # t + s[shared:] weighs wts[j] + wts[i] - weight(t[k:])
             room = max_weight - wts[j] + weight(t[k:])
-            for i, s in enumerate(lms):
+            for i in partners:
+                s = lms[i]
                 if (wts[i] <= room and shared < len(s)
                         and t[k:] == s[:shared]):
                     out.append(Overlap(i, j, t + s[shared:], k, 0))
@@ -412,6 +421,9 @@ def complete(rs, max_degree):
     ambiguities of a new or changed rule, and those still unresolved, have
     their branches reduced, by the system that the interreduction
     returned, with its automaton and the normal forms it has cached.
+    An ambiguity depends only on its two leading words, so each round
+    keeps those of the last round whose leading words both remain, and
+    builds only those of its new leading words.
 
     The result is independent of the input rule order. Raises BoundExceeded
     when an input rule already outweighs the bound.
@@ -426,20 +438,27 @@ def complete(rs, max_degree):
                 % (algebra.word_str(w), weight(w), max_degree))
     current = _interreduce(algebra, rs.rules)
     previous = {}
-    # resolved ambiguities, as (leading word i, leading word j, offset i);
+    # ambiguities, as (leading word i, leading word j, word, offset i), and
+    # the resolved ones, as (leading word i, leading word j, offset i);
     # leading words are unique in an interreduced system
+    known = []
     resolved = set()
     while True:
         lws = current.leading_words
         rules = dict(zip(lws, current.rules))
+        index = {lw: k for k, lw in enumerate(lws)}
         fresh = {lw for lw, r in rules.items() if previous.get(lw) != r}
+        new = {k for k, lw in enumerate(lws) if lw not in previous}
+        known = [a for a in known if a[0] in index and a[1] in index]
+        known += [(lws[ov.i], lws[ov.j], ov.word, ov.offset_i)
+                  for ov in _ambiguities(current, max_degree, new)]
         candidates = []
-        for ov in _ambiguities(current, max_degree):
-            li, lj = lws[ov.i], lws[ov.j]
-            pair = (li, lj, ov.offset_i)
+        for li, lj, word, offset_i in known:
+            pair = (li, lj, offset_i)
             if pair in resolved and li not in fresh and lj not in fresh:
                 continue
-            a, b = _branches(current, ov)
+            a, b = _branches(current, Overlap(index[li], index[lj], word,
+                                              offset_i, 0))
             if a == b:
                 resolved.add(pair)
             else:

@@ -62,7 +62,9 @@ class ModuleElement:
 
 
 def _leading_term(terms, keyf):
-    """The term of terms (nonempty) with the largest keyf, and that key.
+    """The leading term of terms (nonempty), the one with the least keyf,
+    and that key; keyf is a descending key, so the least is the greatest
+    in the order.
 
     Distinct basis terms must have distinct keys, that is distinct words
     chain word + normal word; a tie at the top is a broken basis order.
@@ -71,7 +73,7 @@ def _leading_term(terms, keyf):
     tie = False
     for t in terms:
         k = keyf(t)
-        if best_key is None or k > best_key:
+        if best_key is None or k < best_key:
             best, best_key, tie = t, k, False
         elif k == best_key:
             tie = True
@@ -197,13 +199,19 @@ class ResolutionEngine:
         chain_word, word = term
         return self.order.key(chain_word + word)
 
+    def descending_basis_key(self, term):
+        """The descending key of the word chain word + normal word: the
+        least sorts first and leads."""
+        chain_word, word = term
+        return self.order.descending_key(chain_word + word)
+
     def module_lm(self, elem):
         """Leading (word, term, coeff) of a nonzero element; word is the
         chain word followed by the normal word of term."""
         if not elem.terms:
             raise ZeroElement("zero element has no leading term")
-        best, _ = _leading_term(elem.terms, self.basis_key)
-        return best[0] + best[1], best, elem.terms[best]
+        best, lk = _leading_term(elem.terms, self.descending_basis_key)
+        return lk[1], best, elem.terms[best]
 
     # ---- scalars ----
 
@@ -226,14 +234,36 @@ class ResolutionEngine:
             elem.degree, self._act_into({}, elem, tuple(word), 1), self.p)
 
     def _act_into(self, acc, elem, word, c):
-        """acc += c * (elem acted on by word), in place; returns acc."""
+        """acc += c * (elem acted on by word), in place; returns acc.
+
+        The loop body of axpy, run inline over the normal form of each
+        term: the lift spends most of its time here.
+        """
         p = self.p
         if not word:
             return axpy(acc, elem.terms.items(), c, p)
+        if p:
+            c %= p
+        if not c:
+            return acc
         nf = self.rs.normal_form_word
+        get = acc.get
         for (cw, w), m in elem.terms.items():
-            axpy(acc, (((cw, v), k) for v, k in nf(w + word).terms.items()),
-                 c * m, p)
+            cm = c * m
+            for v, k in nf(w + word).terms.items():
+                t = (cw, v)
+                k = cm * k
+                old = get(t)
+                if old is not None:
+                    k = old + k
+                    if p:
+                        k %= p
+                    if not k:
+                        del acc[t]
+                        continue
+                elif p:
+                    k %= p
+                acc[t] = k
         return acc
 
     # ---- differentials ----
@@ -274,11 +304,11 @@ class ResolutionEngine:
             else:
                 correction = self._lift(n - 2, boundary)
             result = base - correction
-            ckey = self.order.key(chain.word)
+            ckey = self.order.descending_key(chain.word)
             assert result.terms.get(lead) == self.field.one, \
                 "leading coefficient drifted"
             for t in result.terms:
-                assert t == lead or self.basis_key(t) < ckey, \
+                assert t == lead or self.descending_basis_key(t) > ckey, \
                     "differential tail must sit below the chain word"
             if self.debug:
                 assert not self.apply_differential(result), \
@@ -332,24 +362,26 @@ class ResolutionEngine:
     def _lift(self, n, elem):
         """i_n for n >= 1 on an element already known to be a cycle.
 
-        Peels the leading term, locates the obstruction completing it to a
-        degree n+1 chain, and subtracts that chain's image from the rest;
-        the leading word strictly decreases, which is also enforced as a
-        guard, so every term of the result is emitted once.
+        Peels the leading term, the one with the least descending key
+        (the greatest word chain word + normal word), locates the
+        obstruction completing it to a degree n+1 chain, and subtracts
+        that chain's image from the rest; the leading word strictly
+        decreases, so its descending key strictly increases, which is also
+        enforced as a guard, and every term of the result is emitted once.
         """
         automaton = self.obstruction_set.automaton
         lower, upper = self._index(n), self._index(n + 1)
         out = {}
         work = dict(elem.terms)
         # each term's key is computed once per call, not once per step
-        keyf = _KeyMemo(self.basis_key).__getitem__
+        keyf = _KeyMemo(self.descending_basis_key).__getitem__
         prev_key = None
         guard = 0
         while work:
             (cw, w), lk = _leading_term(work, keyf)
-            lead_word = cw + w
+            lead_word = lk[1]
             coeff = work[(cw, w)]
-            if prev_key is not None and not lk < prev_key:
+            if prev_key is not None and not lk > prev_key:
                 raise NonTermination(
                     "leading word %s failed to decrease"
                     % self.algebra.word_str(lead_word))
@@ -443,5 +475,5 @@ class ResolutionEngine:
             text = "[%s | %s]" % (ws(term[0]), ws(term[1]))
             return text if mag == one else "%s·%s" % (mag, text)
         terms = sorted(elem.terms.items(),
-                       key=lambda kv: self.basis_key(kv[0]), reverse=True)
+                       key=lambda kv: self.descending_basis_key(kv[0]))
         return format_signed_sum(terms, body)

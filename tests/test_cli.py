@@ -392,6 +392,56 @@ def test_stdout_digests(capsys, name):
     assert tuple(got) == STDOUT_DIGESTS[name]
 
 
+# sha256 of stdout of `resolve --degree 7 --show-homotopy`,
+# `resolve --degree 3 --show-homotopy` and `verify --degree 9`, recorded
+# before the word weight became len() for unit weights and the lift began
+# to pick the least descending key. These go deeper into the resolution
+# than STDOUT_DIGESTS. The running example's letters all weigh 1, so
+# "running_example_z2.json", the same relations with z of weight 2, keeps
+# the summed weight covered; it reorders the terms of the output.
+DEEP_STDOUT_DIGESTS = {
+    "s3_group.json": (
+        "3f76759a3a0d5eb1988b8ac88c28631cefc08c375f754e769684464f7bc98e06",
+        "5056718031d161f5a77e64e470c2b59645f887248022dbce03e2a610c0d94491",
+        "c2c90c6dd372f775ea1dc90f3652491e819c18da6f1f79f615c8a07638cd5385"),
+    "s3_group_gf3.json": (
+        "0fe977bd904d16150d784b6d11036b39b404e64689d9fa31309f0bf7ca8e45ff",
+        "82a5b40af9c84ee558243e3f9155cf00da8f51fe725c81c9e4d5daa53820d72d",
+        "c2c90c6dd372f775ea1dc90f3652491e819c18da6f1f79f615c8a07638cd5385"),
+    "running_example.json": (
+        "147f1cae6792d2f34f7b8faebbded4b4d84856374828e53975a796a5456eea98",
+        "864bf5075fc3dd192efc9d17042f4277c30afaed6a6498610fe15de636cba9fc",
+        "e161a25c9507998b4e0ddc48e415e94e716b70b537b3141c673f0345e75d6f95"),
+    "running_example_z2.json": (
+        "95709d2b6f4a1328e08b24e568d0c9f48fd83a12dfcbce2e77465b90c9cbfd83",
+        "82482427b01a1f9159af8a9177205f412349f77c0d466101c2927f7bd192735a",
+        "e161a25c9507998b4e0ddc48e415e94e716b70b537b3141c673f0345e75d6f95"),
+    "skew_poly3.json": (
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "6bf1f61513481f61551f49ece82ba0fb0ca9ef24283758ef227e3e4f475558a8",
+        "14bb17ea57ba15409a69bf942a7d2419c78789639b5d988d0028aa838b175a82"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_STDOUT_DIGESTS))
+def test_deep_stdout_digests(capsys, tmp_path, name):
+    path = ROOT / "presentations" / name
+    if name == "running_example_z2.json":
+        data = json.loads((ROOT / "presentations"
+                           / "running_example.json").read_text())
+        data["weights"] = {"x": 1, "y": 1, "z": 2}
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+    got = []
+    for argv in (["resolve", "--degree", "7", "--show-homotopy"],
+                 ["resolve", "--degree", "3", "--show-homotopy"],
+                 ["verify", "--degree", "9"]):
+        code, out, _ = run(capsys, *argv, str(path))
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == DEEP_STDOUT_DIGESTS[name]
+
+
 def test_fractional_coefficients_render(capsys):
     # a skew polynomial ring with a fractional augmentation: its scalars
     # are fractions, which print as p/q wherever they appear

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anick
 from anick import Alphabet, FreeAlgebra, MonomialOrder, ZeroPolynomial, words_up_to_weight
@@ -54,6 +56,31 @@ def test_order_weighted():
     assert o.weight((0, 1, 0)) == 4
     with pytest.raises(ValueError):
         MonomialOrder(XY, weights=[1, 0])
+
+
+@st.composite
+def orders_and_words(draw):
+    """A MonomialOrder on 1 to 4 letters, its weights all 1 or each drawn
+    from 1..3, and a list of words on its letters."""
+    n = draw(st.integers(1, 4))
+    alphabet = Alphabet(["a", "b", "c", "d"][:n])
+    if draw(st.booleans()):
+        weights = [1] * n
+    else:
+        weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    words = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6)
+                          .map(tuple), max_size=30))
+    return MonomialOrder(alphabet, weights), weights, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders_and_words())
+def test_order_weight_and_keys(case):
+    order, weights, words = case
+    for w in words:
+        assert order.weight(w) == sum(weights[a] for a in w)
+    assert sorted(words, key=order.key) == \
+        sorted(words, key=order.descending_key)[::-1]
 
 
 def all_words(n_letters, max_len):

@@ -4,10 +4,14 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anick
 from anick import (NonTermination, NotInKernel, Presentation, ResolutionEngine,
                    ZeroElement)
+from anick.chains import prefix_length
+from anick.free_algebra import axpy
 from anick.resolution import ModuleElement
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
@@ -221,6 +225,128 @@ def test_homotopy_random_kernel(name):
             assert eng.apply_differential(lifted) == z
             # the lift preserves the leading word
             assert eng.module_lm(lifted)[0] == eng.module_lm(z)[0]
+
+
+# ---- reference kernel: largest basis_key first, one axpy call per term ----
+
+def reference_leading_term(terms, keyf):
+    """The term of terms with the largest keyf, and that key."""
+    best = best_key = None
+    tie = False
+    for t in terms:
+        k = keyf(t)
+        if best_key is None or k > best_key:
+            best, best_key, tie = t, k, False
+        elif k == best_key:
+            tie = True
+    assert not tie, "distinct basis terms share a word; basis order broken"
+    return best, best_key
+
+
+def reference_act_into(eng, acc, elem, word, c):
+    """acc += c * (elem acted on by word), one axpy call per term."""
+    if not word:
+        return axpy(acc, elem.terms.items(), c, eng.p)
+    nf = eng.rs.normal_form_word
+    for (cw, w), m in elem.terms.items():
+        axpy(acc, (((cw, v), k) for v, k in nf(w + word).terms.items()),
+             c * m, eng.p)
+    return acc
+
+
+def reference_act(eng, elem, word):
+    return ModuleElement(elem.degree,
+                         reference_act_into(eng, {}, elem, tuple(word), 1),
+                         eng.p)
+
+
+def reference_lift(eng, n, elem):
+    """i_n on a cycle: the term with the largest basis_key first."""
+    automaton = eng.obstruction_set.automaton
+    lower, upper = eng._index(n), eng._index(n + 1)
+    out = {}
+    work = dict(elem.terms)
+    prev_key = None
+    guard = 0
+    while work:
+        (cw, w), lk = reference_leading_term(work, eng.basis_key)
+        lead_word = cw + w
+        coeff = work[(cw, w)]
+        if prev_key is not None and not lk < prev_key:
+            raise NonTermination("leading word failed to decrease")
+        prev_key = lk
+        cut = prefix_length(lower[cw], n - 1)
+        pos, idx = automaton.first_match(lead_word[cut:])
+        if pos < 0:
+            raise NonTermination("no obstruction occurrence")
+        start = cut + pos
+        end = start + automaton.lengths[idx]
+        if not (start < len(cw) < end):
+            raise NonTermination("occurrence does not straddle")
+        cnew = upper.get(lead_word[:end])
+        if cnew is None:
+            raise NonTermination("not a chain word")
+        tword = lead_word[end:]
+        out[(cnew.word, tword)] = coeff
+        reference_act_into(eng, work, eng.differential(cnew), tword, -coeff)
+        guard += 1
+        if guard > 100000:
+            raise NonTermination("iteration cap reached")
+    return ModuleElement(n + 1, out, eng.p)
+
+
+KERNEL_FILES = ["s3_group.json", "s3_group_gf3.json", "running_example.json",
+                "skew_poly3.json"]
+
+
+@pytest.fixture(scope="module")
+def kernel_engines():
+    return {name: ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / name)) for name in KERNEL_FILES}
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(KERNEL_FILES), st.data())
+def test_kernel_matches_reference(kernel_engines, name, data):
+    eng = kernel_engines[name]
+    n = data.draw(st.sampled_from([k for k in (1, 2, 3)
+                                   if eng.chains(k + 1)]))
+    upstairs = eng.chains(n + 1)
+    normal = eng.rs.normal_words(3)
+    # a random cycle, built as in test_homotopy_random_kernel
+    z = eng.zero(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.sampled_from(upstairs))
+        w = data.draw(st.sampled_from(normal))
+        k = data.draw(st.integers(-2, 2))
+        z = z + reference_act(eng, eng.differential(c), w).scale(
+            eng.field(k))
+    assert outcome(eng._lift, n, z) == outcome(reference_lift, eng, n, z)
+    # one more basis term makes it, in general, no cycle; both lifts must
+    # then fail alike
+    extra = eng.element(n, [(data.draw(st.sampled_from(eng.chains(n))),
+                             data.draw(st.sampled_from(normal)),
+                             data.draw(st.integers(1, 2)))])
+    broken = z + extra
+    if eng.apply_differential(broken):
+        got = outcome(eng._lift, n, broken)
+        assert isinstance(got, type)
+        assert got is outcome(reference_lift, eng, n, broken)
+    # the right action, alone and accumulating into a nonzero element
+    word = tuple(data.draw(st.lists(
+        st.integers(0, len(eng.algebra.alphabet) - 1), max_size=3)))
+    assert eng.act(broken, word) == reference_act(eng, broken, word)
+    c = eng.field(data.draw(st.sampled_from([1, -1, 2, -3, 3])))
+    assert eng._act_into(dict(z.terms), broken, word, c) == \
+        reference_act_into(eng, dict(z.terms), broken, word, c)
 
 
 def test_tied_leading_words_fail(running_engine):
