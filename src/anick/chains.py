@@ -1,7 +1,9 @@
 """Obstruction anti-chains, the order-ideal/anti-chain correspondence,
 the chain graph, and chain enumeration with placement tuples."""
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter, eq
 
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
 from .free_algebra import MonomialOrder
@@ -231,7 +233,14 @@ def build_chain_graph(obstruction_set, alphabet):
 
 
 def enumerate_chains(graph, degree, order=None):
-    """All chains of the given degree, ascending by the order on their words."""
+    """All chains of the given degree, ascending by the order on their words.
+
+    The chains are collected in one run per weight of their word. Each run
+    is sorted by word, descending, and the runs are joined in ascending
+    weight. That is the order of order.key: words of one weight are never
+    prefixes of one another, so between them descending tuple order is
+    ascending order of the negated letters.
+    """
     if degree < 0:
         raise ValueError("negative degree")
     if order is None:
@@ -253,11 +262,21 @@ def enumerate_chains(graph, degree, order=None):
                 append(Chain(n, w, node, starts + (end - len(witness) + 1,),
                              ends + (end,)))
         chains = nxt
-    dkey = order.descending_key
-    chains.sort(key=lambda c: dkey(c.word), reverse=True)
-    words = {c.word for c in chains}
-    assert len(words) == len(chains), "chain words at one degree must be distinct"
-    return chains
+    weight = order.weight
+    word_of = attrgetter("word")
+    runs = defaultdict(list)
+    for c in chains:
+        runs[weight(c.word)].append(c)
+    out = []
+    for wt in sorted(runs):
+        run = runs[wt]
+        run.sort(key=word_of, reverse=True)
+        out += run
+    # a repeated word would sit next to its twin in its sorted run
+    words = list(map(word_of, out))
+    assert not any(map(eq, words, words[1:])), \
+        "chain words at one degree must be distinct"
+    return out
 
 
 def _occurrences(word, obstruction_set):

@@ -133,17 +133,27 @@ class MonomialOrder:
 
 
 def words_up_to_weight(alphabet, order, max_weight):
-    """All words of weight <= max_weight, ascending by the order key."""
-    out = []
+    """All words of weight <= max_weight, ascending by the order key.
+
+    The words are collected in one run per weight. Each run is sorted by
+    the words themselves, descending, and the runs are joined in ascending
+    weight. That is the order of key: words of one weight are never
+    prefixes of one another, so between them descending tuple order is
+    ascending order of the negated letters.
+    """
+    runs = [[] for _ in range(max(max_weight, 0) + 1)]
     stack = [((), 0)]
     while stack:
         w, wt = stack.pop()
-        out.append(w)
-        for i in range(len(alphabet)):
-            nwt = wt + order.weights[i]
+        runs[wt].append(w)
+        for i, e in enumerate(order.weights):
+            nwt = wt + e
             if nwt <= max_weight:
                 stack.append((w + (i,), nwt))
-    out.sort(key=order.key)
+    out = []
+    for run in runs:
+        run.sort(reverse=True)
+        out += run
     return out
 
 

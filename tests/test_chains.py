@@ -1,6 +1,7 @@
 """Obstructions, the chain graph, and the two equivalent chain
 characterizations."""
 
+import copy
 import itertools
 import pathlib
 
@@ -9,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anick
-from anick import (Alphabet, Chain, ObstructionSet, Presentation,
-                   RewriteSystem, antichain_from_oim, bracket_prefix,
-                   bracket_tail, build_chain_graph, complete,
+from anick import (Alphabet, Chain, MonomialOrder, ObstructionSet,
+                   Presentation, RewriteSystem, antichain_from_oim,
+                   bracket_prefix, bracket_tail, build_chain_graph, complete,
                    enumerate_chains, enumerate_prechains, identity_chain,
                    is_chain_top_down, is_prechain, obstructions,
-                   oim_from_antichain, split_chain)
+                   oim_from_antichain, split_chain, words_up_to_weight)
 from test_wordops import is_antichain, ref_find_subword
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -390,3 +391,38 @@ def test_euler_identity_xyz():
     done = complete(RewriteSystem.from_presentation(pres), 8)
     graph = build_chain_graph(obstructions(done), pres.algebra.alphabet)
     assert euler_product(graph, done.automaton(), 3, 6) == [1] + [0] * 6
+
+
+# ---- weight runs give the order of key, on weighted alphabets too ----
+
+@settings(max_examples=100, deadline=None)
+@given(random_antichains(), st.data())
+def test_weight_runs_sort_by_key(system, data):
+    n, words = system
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    order = MonomialOrder(alphabet, data.draw(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    bound = data.draw(st.integers(0, 7))
+    brute = [w for k in range(bound + 1)
+             for w in itertools.product(range(n), repeat=k)
+             if order.weight(w) <= bound]
+    assert words_up_to_weight(alphabet, order, bound) == \
+        sorted(brute, key=order.key)
+    graph = build_chain_graph(ObstructionSet(words), alphabet)
+    for degree in range(5):
+        keys = [order.key(c.word)
+                for c in enumerate_chains(graph, degree, order)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_repeated_chain_word_is_caught(running):
+    pres, _, graph = running
+    order = MonomialOrder(pres.algebra.alphabet, [1, 2, 1])
+    doctored = copy.copy(graph)
+    # one edge out of x twice: two degree-2 chains spell the same word
+    doctored.edges = dict(graph.edges)
+    x = (0,)
+    doctored.edges[x] = graph.edges[x] + graph.edges[x][:1]
+    assert enumerate_chains(graph, 2, order)
+    with pytest.raises(AssertionError, match="must be distinct"):
+        enumerate_chains(doctored, 2, order)

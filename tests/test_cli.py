@@ -442,6 +442,28 @@ def test_deep_stdout_digests(capsys, tmp_path, name):
     assert tuple(got) == DEEP_STDOUT_DIGESTS[name]
 
 
+XYZ = str(ROOT / "perfbench" / "inputs" / "xyz.json")
+
+
+# exit code and sha256 of stdout, recorded before normal forms became a
+# memoised one-step recursion. Completion and the failing check reduce
+# through systems that are not confluent, where every word met on the way
+# is cached.
+@pytest.mark.parametrize("argv, code, digest", [
+    (["gb-complete", XYZ, "--max-degree", "10"], 0,
+     "30a9078f508f79f578870fb02bb7687669f9fe476af3d7d3b6efc1445ad1fbac"),
+    (["gb-complete", XYZ, "--max-degree", "10", "--format", "json"], 0,
+     "eb9dd8b7bcd30797f67cd4e60d860bb0df5cc2b01a6f13db22aa059acd12c726"),
+    (["gb-check", NONCONFLUENT, "--format", "json"], 2,
+     "c14057ca40f7eb92ad089471d6d3ffe41ad86d2058d185fa5cbd896c437bed35"),
+], ids=["gb-complete-xyz-text", "gb-complete-xyz-json",
+        "gb-check-non-confluent-json"])
+def test_groebner_stdout_digests(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fractional_coefficients_render(capsys):
     # a skew polynomial ring with a fractional augmentation: its scalars
     # are fractions, which print as p/q wherever they appear

@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -415,14 +416,14 @@ FIELDS = [anick.QQ, anick.GF(2), anick.GF(3), anick.GF(7)]
 
 
 @st.composite
-def random_systems(draw, max_terms=4):
-    """An algebra on 2 or 3 letters and a shuffled list of relations, each
-    homogeneous or not, with 1 to max_terms terms of words of length up
-    to 4."""
+def random_systems(draw, max_terms=4, fields=FIELDS):
+    """An algebra on 2 or 3 letters over one of fields and a shuffled list
+    of relations, each homogeneous or not, with 1 to max_terms terms of
+    words of length up to 4."""
     n = draw(st.integers(2, 3))
     weights = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (1, 2, 1),
                                     (2, 1, 1)]))[:n]
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     letters = ["x", "y", "z"][:n]
     algebra = FreeAlgebra(Alphabet(letters),
                           MonomialOrder(Alphabet(letters), weights),
@@ -489,6 +490,32 @@ def test_normal_form_word_cache_order(system, data):
         rs.normal_form_word(w)
     for w in words:
         assert rs.normal_form_word(w) == reference_normal_form_word(rs, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_systems(fields=[anick.QQ, anick.GF(7)]), st.data())
+def test_normal_form_cache_holds_every_word_met(system, data):
+    algebra, relations = system
+    rs = RewriteSystem(algebra, relations)
+    words = words_up_to_weight(algebra.alphabet, algebra.order, 6)
+    for w in data.draw(st.permutations(words)):
+        rs.normal_form_word(w)
+    # the words asked for and every word met on the way; over GF(7) a
+    # rewrite to one word with coefficient -1 is stored as 6
+    assert set(words) <= set(rs._nf_cache)
+    for u, nf in rs._nf_cache.items():
+        assert nf == reference_normal_form_word(rs, u)
+
+
+def test_long_rewrite_chain(idempotent_presentation):
+    rs = RewriteSystem.from_presentation(idempotent_presentation)
+    x = idempotent_presentation.algebra.word("x")
+    t0 = time.perf_counter()
+    # x^2000 -> x^1999 -> ... -> x: deeper than the recursion limit
+    nf = rs.normal_form_word(x * 2000)
+    assert time.perf_counter() - t0 < 30
+    assert nf.terms == {x: 1}
+    assert len(rs._nf_cache) == 2000
 
 
 def test_descending_key_reverses_key():
