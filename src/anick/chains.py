@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from operator import attrgetter, eq
 
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
-from .free_algebra import MonomialOrder
 from .groebner import require_long_leading_word
 from .wordops import NormalWordAutomaton
 
@@ -38,10 +37,6 @@ class ObstructionSet:
 
     def __repr__(self):
         return "ObstructionSet(%r)" % (list(self.words),)
-
-
-def _as_obstruction_set(words):
-    return words if isinstance(words, ObstructionSet) else ObstructionSet(words)
 
 
 def _check_antichain(automaton):
@@ -160,7 +155,7 @@ def split_chain(chain):
 
 class ChainGraph:
     """Directed graph whose length-n paths from the root spell the
-    degree-n chains.
+    degree-n chains, built from an ObstructionSet and the alphabet.
 
     Nodes: the root (empty word), the letters, and every proper suffix of
     an obstruction. Edge s -> t exists when st contains exactly one
@@ -169,7 +164,6 @@ class ChainGraph:
     """
 
     def __init__(self, obstruction_set, alphabet):
-        obstruction_set = _as_obstruction_set(obstruction_set)
         self.obstructions = obstruction_set
         self.alphabet = alphabet
         obs = obstruction_set.words
@@ -205,9 +199,10 @@ class ChainGraph:
                     stack.append(t)
         return seen
 
-    def to_dot(self, prune=True):
-        """GraphViz text; prune drops nodes unreachable from the root."""
-        keep = self.reachable() if prune else set(self.nodes)
+    def to_dot(self):
+        """GraphViz text of the nodes reachable from the root and the
+        edges between them."""
+        keep = self.reachable()
         label = self.alphabet.word_str
         lines = ["digraph chain_graph {"]
         for v in self.nodes:
@@ -232,8 +227,9 @@ def build_chain_graph(obstruction_set, alphabet):
     return ChainGraph(obstruction_set, alphabet)
 
 
-def enumerate_chains(graph, degree, order=None):
-    """All chains of the given degree, ascending by the order on their words.
+def enumerate_chains(graph, degree, order):
+    """All chains of the given degree, ascending by order, the monomial
+    order of the presentation the graph was built from.
 
     The chains are collected in one run per weight of their word. Each run
     is sorted by word, descending, and the runs are joined in ascending
@@ -243,8 +239,6 @@ def enumerate_chains(graph, degree, order=None):
     """
     if degree < 0:
         raise ValueError("negative degree")
-    if order is None:
-        order = MonomialOrder(graph.alphabet)
     if degree == 0:
         return [identity_chain()]
     edges = graph.edges
@@ -304,7 +298,7 @@ def _placement_pairs(occs, n):
 
 
 def is_prechain(word, n, obstruction_set):
-    """True when word is a degree-n prechain.
+    """True when word is a degree-n prechain of an ObstructionSet.
 
     Degree 0 is the empty word and degree 1 a single letter; for n >= 2
     the word must be covered by n - 1 overlapping obstruction placements
@@ -315,7 +309,7 @@ def is_prechain(word, n, obstruction_set):
     word = tuple(word)
     if n <= 1:
         return len(word) == n
-    occs = _occurrences(word, _as_obstruction_set(obstruction_set))
+    occs = _occurrences(word, obstruction_set)
     levels = _placement_pairs(occs, n - 1)
     return any(b == len(word) for _, b in levels[n - 2])
 
@@ -344,8 +338,8 @@ def _full_placements(occs, n, length):
 
 
 def is_chain_top_down(word, n, obstruction_set):
-    """Validate the chain property of a degree-n word directly from the
-    definition, without the graph.
+    """Validate the chain property of a degree-n word over an
+    ObstructionSet directly from the definition, without the graph.
 
     Returns the unique (starts, ends) obstruction placement when word is
     an n-chain (empty tuples for n <= 1), else None. A placement
@@ -358,7 +352,7 @@ def is_chain_top_down(word, n, obstruction_set):
     if n <= 1:
         return ((), ()) if len(word) == n else None
     k = n - 1
-    occs = _occurrences(word, _as_obstruction_set(obstruction_set))
+    occs = _occurrences(word, obstruction_set)
     if not occs:
         return None
     placements = _full_placements(occs, k, len(word))
@@ -378,14 +372,14 @@ def is_chain_top_down(word, n, obstruction_set):
 
 
 def enumerate_prechains(obstruction_set, n):
-    """Degree-n prechain words, generated by overlapping concatenation of
-    obstructions rather than by scanning all words. Superset of the
-    degree-n chain words. Needs n >= 2; lower degrees do not involve
-    obstructions at all."""
+    """Degree-n prechain words of an ObstructionSet, generated by
+    overlapping concatenation of its obstructions rather than by scanning
+    all words. Superset of the degree-n chain words. Needs n >= 2; lower
+    degrees do not involve obstructions at all."""
     if n < 2:
         raise ValueError("prechain generation needs degree >= 2")
     k = n - 1
-    obs = _as_obstruction_set(obstruction_set).words
+    obs = obstruction_set.words
     out = set()
 
     def rec(word, prev_b, cur_b, m):

@@ -109,7 +109,7 @@ def _cmd_chain_graph(pres, args):
                         % (e["source"], e["target"], e["witness"]))
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(graph.to_dot(prune=True))
+            fh.write(graph.to_dot())
         results["dot_file"] = args.dot
         text.append("dot-file: %s" % args.dot)
     return results, text, EXIT_OK

@@ -252,9 +252,6 @@ class Polynomial:
         return Polynomial(self.algebra, axpy({}, self.terms.items(), field(c),
                                              field.characteristic))
 
-    def support(self):
-        return set(self.terms)
-
     def lm(self):
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
@@ -282,8 +279,6 @@ class FreeAlgebra:
     """Context object tying together alphabet, monomial order and field."""
 
     def __init__(self, alphabet, order=None, field=QQ):
-        if isinstance(alphabet, (list, tuple)):
-            alphabet = Alphabet(alphabet)
         self.alphabet = alphabet
         self.order = order if order is not None else MonomialOrder(alphabet)
         if self.order.alphabet != alphabet:

@@ -297,14 +297,15 @@ class RewriteSystem:
         return cls(pres.algebra, pres.relations)
 
 
-Overlap = namedtuple("Overlap", "i j word offset_i offset_j")
+Overlap = namedtuple("Overlap", "i j word offset_i")
 
 
 def overlaps(rs):
     """All proper overlap and containment ambiguities between rule pairs.
 
     Each entry records the two rule indices, the ambiguity word, and the
-    offsets of both leading-monomial occurrences inside it. Sorted by
+    offset of rule i's leading monomial inside it; rule j's leading
+    monomial always starts the word. Sorted by
     weight, then alphabetically, matching the word listing convention, so
     bounded scans proceed in ascending weight.
     """
@@ -326,7 +327,7 @@ def _ambiguities(rs, max_weight, new=None):
     everyone = range(len(lms))
     if new is None:
         new = everyone
-    out = [Overlap(i, j, t, p, 0)
+    out = [Overlap(i, j, t, p)
            for j, t in enumerate(lms) if wts[j] <= max_weight
            for p, i in matches(t) if i != j and (i in new or j in new)]
     for j, t in enumerate(lms):
@@ -339,7 +340,7 @@ def _ambiguities(rs, max_weight, new=None):
                 s = lms[i]
                 if (wts[i] <= room and shared < len(s)
                         and t[k:] == s[:shared]):
-                    out.append(Overlap(i, j, t + s[shared:], k, 0))
+                    out.append(Overlap(i, j, t + s[shared:], k))
     out.sort(key=lambda ov: (weight(ov.word), ov.word, ov.i, ov.j, ov.offset_i))
     return out
 
@@ -355,7 +356,7 @@ class CheckReport:
 
 def _branches(rs, ov):
     """The normal forms of the two ways of rewriting an overlap's word."""
-    return (rs.normal_form(rs.one_step(ov.word, ov.offset_j, ov.j)),
+    return (rs.normal_form(rs.one_step(ov.word, 0, ov.j)),
             rs.normal_form(rs.one_step(ov.word, ov.offset_i, ov.i)))
 
 
@@ -475,7 +476,7 @@ def complete(rs, max_degree):
             if pair in resolved and li not in fresh and lj not in fresh:
                 continue
             a, b = _branches(current, Overlap(index[li], index[lj], word,
-                                              offset_i, 0))
+                                              offset_i))
             if a == b:
                 resolved.add(pair)
             else:
@@ -483,9 +484,10 @@ def complete(rs, max_degree):
                 candidates.append((a - b).monic())
         if not candidates:
             return current
-        candidates.sort(key=lambda p: (keyf(p.lm()), algebra.format(p)))
+        smallest = min(candidates,
+                       key=lambda p: (keyf(p.lm()), algebra.format(p)))
         previous = rules
-        current = _interreduce(algebra, current.rules + (candidates[0],))
+        current = _interreduce(algebra, current.rules + (smallest,))
 
 
 def leading_monomials_oracle(pres, max_degree):

@@ -112,14 +112,13 @@ class ResolutionEngine:
     orderings and cache contents.
     """
 
-    def __init__(self, presentation, rewrite_system, debug=False):
+    def __init__(self, presentation, rewrite_system):
         self.presentation = presentation
         self.rs = rewrite_system
         self.algebra = presentation.algebra
         self.order = self.algebra.order
         self.field = self.algebra.field
         self.p = self.field.characteristic
-        self.debug = debug
         self.obstruction_set = obstructions(rewrite_system)
         self.graph = ChainGraph(self.obstruction_set, self.algebra.alphabet)
         self._chains = {}
@@ -128,19 +127,18 @@ class ResolutionEngine:
         self._filled_degree = 0
 
     @classmethod
-    def from_presentation(cls, pres, max_degree=7, complete_system=False,
-                          debug=False):
+    def from_presentation(cls, pres, max_degree=7, complete_system=False):
         """Build the engine after verifying (or completing) the relations.
 
-        max_degree bounds completion; the confluence check covers every
-        ambiguity whatever its weight.
+        max_degree bounds completion only. The confluence check runs to
+        rs.max_ambiguity_weight(), which no ambiguity outweighs, so it
+        covers every ambiguity.
         """
         rs = RewriteSystem.from_presentation(pres)
         if complete_system:
             rs = complete(rs, max(max_degree, rs.max_rule_weight()))
         else:
-            report = check_groebner(
-                rs, max(max_degree, rs.max_ambiguity_weight()))
+            report = check_groebner(rs, rs.max_ambiguity_weight())
             if not report.ok:
                 word = pres.algebra.word_str(report.counterexample)
                 raise NotGroebner(
@@ -149,7 +147,7 @@ class ResolutionEngine:
                                    pres.algebra.format(report.branches[0]),
                                    pres.algebra.format(report.branches[1])),
                     counterexample=report.counterexample)
-        return cls(pres, rs, debug=debug)
+        return cls(pres, rs)
 
     # ---- chain bookkeeping ----
 
@@ -310,9 +308,6 @@ class ResolutionEngine:
             for t in result.terms:
                 assert t == lead or self.descending_basis_key(t) > ckey, \
                     "differential tail must sit below the chain word"
-            if self.debug:
-                assert not self.apply_differential(result), \
-                    "d d != 0 at degree %d" % n
         self._d_cache[key] = result
         return result
 
@@ -410,9 +405,6 @@ class ResolutionEngine:
             guard += 1
             if guard > 100000:
                 raise NonTermination("iteration cap reached at degree %d" % n)
-            if self.debug and work and self.apply_differential(
-                    ModuleElement(n, work, self.p)):
-                raise NotInKernel("cycle condition lost mid-recursion")
         return ModuleElement(n + 1, out, self.p)
 
     # ---- reports ----

@@ -143,10 +143,11 @@ def test_criterion_06_definitions_match():
         def definitions_agree(alphabet, obs_words, long_candidates):
             obs = anick.ObstructionSet(obs_words)
             graph = anick.build_chain_graph(obs, alphabet)
+            order = anick.MonomialOrder(alphabet)
             n_letters = len(alphabet)
             for d in range(6):
                 graph_side = {c.word: (c.starts, c.ends)
-                              for c in anick.enumerate_chains(graph, d)}
+                              for c in anick.enumerate_chains(graph, d, order)}
                 scan_side = {}
                 # chain words are short on two letters; elsewhere scan the
                 # small lengths exhaustively and cover longer words through

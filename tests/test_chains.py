@@ -153,15 +153,16 @@ def test_graph_pruning():
     assert [XY.word_str(n) for n in graph.nodes] == ["1", "x", "y", "yy", "xyy"]
     assert XY.word("yy") not in graph.reachable()
     assert '"yy"' not in graph.to_dot()
-    assert '"yy"' in graph.to_dot(prune=False)
-    assert [c.word for c in enumerate_chains(graph, 3)] == []
+    assert [c.word for c in enumerate_chains(graph, 3, MonomialOrder(XY))] \
+        == []
 
 
 # ---- chain enumeration ----
 
 def test_chain_census(running):
-    _, _, graph = running
-    assert [len(enumerate_chains(graph, n)) for n in range(7)] == \
+    pres, _, graph = running
+    order = pres.algebra.order
+    assert [len(enumerate_chains(graph, n, order)) for n in range(7)] == \
         [1, 3, 3, 5, 10, 20, 40]
 
 
@@ -170,7 +171,8 @@ def test_chain_words_golden(running):
     ws = pres.algebra.word_str
 
     def words(n):
-        return [ws(c.word) for c in enumerate_chains(graph, n)]
+        return [ws(c.word) for c in enumerate_chains(graph, n,
+                                                     pres.algebra.order)]
 
     assert words(0) == ["1"]
     assert words(1) == ["z", "y", "x"]
@@ -185,14 +187,16 @@ def test_chains_sorted_ascending(running):
     pres, _, graph = running
     key = pres.algebra.order.key
     for n in range(6):
-        keys = [key(c.word) for c in enumerate_chains(graph, n)]
+        keys = [key(c.word)
+                for c in enumerate_chains(graph, n, pres.algebra.order)]
         assert keys == sorted(keys)
 
 
 def test_chain_structure(running):
     pres, _, graph = running
     ws = pres.algebra.word_str
-    by_word = {ws(c.word): c for c in enumerate_chains(graph, 3)}
+    order = pres.algebra.order
+    by_word = {ws(c.word): c for c in enumerate_chains(graph, 3, order)}
     c = by_word["xxyxz"]
     assert c.degree == 3
     assert c.node == (2,)
@@ -200,7 +204,7 @@ def test_chain_structure(running):
     assert c.ends == (4, 5)
     # the node is the word after the previous span, spans are obstruction
     # occurrences, and the last span ends the word
-    for c in enumerate_chains(graph, 4):
+    for c in enumerate_chains(graph, 4, order):
         prev_end = c.ends[-2]
         assert c.word[prev_end:] == c.node
         assert c.ends[-1] == len(c.word)
@@ -224,7 +228,8 @@ def test_identity_chain():
 def test_split_chain(running):
     pres, _, graph = running
     ws = pres.algebra.word_str
-    by_word = {ws(c.word): c for c in enumerate_chains(graph, 3)}
+    by_word = {ws(c.word): c
+               for c in enumerate_chains(graph, 3, pres.algebra.order)}
     prefix, tail = split_chain(by_word["xxxyx"])
     assert ws(prefix.word) == "xxx" and prefix.degree == 2
     assert ws(tail) == "yx"
@@ -235,7 +240,8 @@ def test_split_chain(running):
 def test_bracket_prefixes(running):
     pres, _, graph = running
     ws = pres.algebra.word_str
-    c = {ws(ch.word): ch for ch in enumerate_chains(graph, 3)}["xxyxz"]
+    c = {ws(ch.word): ch for ch in enumerate_chains(
+        graph, 3, pres.algebra.order)}["xxyxz"]
     assert ws(bracket_prefix(c, 1).word) == "x"
     assert ws(bracket_tail(c, 1)) == "xyxz"
     assert bracket_prefix(c, 0) == identity_chain()
@@ -251,9 +257,10 @@ def test_bracket_prefixes(running):
 def test_bracket_prefix_is_chain(running):
     # every prefix of a chain is itself a chain of lower degree
     pres, obs, graph = running
-    by_word = [{c.word: c for c in enumerate_chains(graph, m)}
+    order = pres.algebra.order
+    by_word = [{c.word: c for c in enumerate_chains(graph, m, order)}
                for m in range(5)]
-    for c in enumerate_chains(graph, 4):
+    for c in enumerate_chains(graph, 4, order):
         for m in range(5):
             sub = bracket_prefix(c, m)
             assert is_chain_top_down(sub.word, m, obs) == (sub.starts, sub.ends)
@@ -291,18 +298,20 @@ def test_top_down_placements(running):
     assert is_chain_top_down(W("x"), 1, obs) == ((), ())
     assert is_chain_top_down((), 0, obs) == ((), ())
     assert is_chain_top_down(W("x"), 0, obs) is None
-    # a raw word list goes through ObstructionSet: duplicates merge, and a
-    # list that is not an anti-chain is refused
-    assert is_chain_top_down((0, 0), 2, [(0, 0), (0, 0)]) == ((1,), (2,))
+    # an ObstructionSet merges duplicate words and refuses a list that is
+    # not an anti-chain
+    assert is_chain_top_down(
+        (0, 0), 2, ObstructionSet([(0, 0), (0, 0)])) == ((1,), (2,))
     with pytest.raises(anick.NotAnAntichain):
-        is_chain_top_down((0, 0, 1), 2, [(0, 0), (0, 0, 1)])
+        is_chain_top_down((0, 0, 1), 2, ObstructionSet([(0, 0), (0, 0, 1)]))
 
 
 def test_definitions_agree_small(running):
     pres, obs, graph = running
     for n in range(5):
         graph_side = {c.word: (c.starts, c.ends)
-                      for c in enumerate_chains(graph, n) if len(c.word) <= 5}
+                      for c in enumerate_chains(graph, n, pres.algebra.order)
+                      if len(c.word) <= 5}
         scan_side = {}
         for length in range(6):
             for w in itertools.product(range(3), repeat=length):
@@ -334,15 +343,16 @@ def test_enumerate_prechains_matches_scan(running):
 
 
 def test_chains_are_prechains(running):
-    _, obs, graph = running
+    pres, obs, graph = running
     for n in range(2, 6):
-        words = {c.word for c in enumerate_chains(graph, n)}
+        words = {c.word
+                 for c in enumerate_chains(graph, n, pres.algebra.order)}
         assert words <= enumerate_prechains(obs, n)
 
 
 # ---- Anick's Euler identity ----
 
-def euler_product(graph, automaton, n_letters, max_weight):
+def euler_product(graph, order, automaton, n_letters, max_weight):
     """N(t) * sum_n (-1)^n C_n(t) mod t^(max_weight + 1), as coefficients.
 
     N counts the normal words and C_n the degree-n chain words, both by
@@ -352,7 +362,7 @@ def euler_product(graph, automaton, n_letters, max_weight):
     normal = automaton.counts(max_weight, n_letters)
     alternating = [0] * (max_weight + 1)
     for n in range(max_weight + 1):
-        lengths = [len(c.word) for c in enumerate_chains(graph, n)]
+        lengths = [len(c.word) for c in enumerate_chains(graph, n, order)]
         for k in lengths:
             if k <= max_weight:
                 alternating[k] += (-1) ** n
@@ -381,8 +391,10 @@ def random_antichains(draw):
 def test_euler_identity_random_antichains(system, max_weight):
     n, words = system
     obs = ObstructionSet(words)
-    graph = build_chain_graph(obs, Alphabet(["x", "y", "z"][:n]))
-    assert euler_product(graph, obs.automaton, n, max_weight) == \
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    graph = build_chain_graph(obs, alphabet)
+    assert euler_product(graph, MonomialOrder(alphabet), obs.automaton, n,
+                         max_weight) == \
         [1] + [0] * max_weight
 
 
@@ -390,7 +402,8 @@ def test_euler_identity_xyz():
     pres = Presentation.load(XYZ)
     done = complete(RewriteSystem.from_presentation(pres), 8)
     graph = build_chain_graph(obstructions(done), pres.algebra.alphabet)
-    assert euler_product(graph, done.automaton(), 3, 6) == [1] + [0] * 6
+    assert euler_product(graph, pres.algebra.order, done.automaton(), 3,
+                         6) == [1] + [0] * 6
 
 
 # ---- weight runs give the order of key, on weighted alphabets too ----

@@ -392,6 +392,42 @@ def test_stdout_digests(capsys, name):
     assert tuple(got) == STDOUT_DIGESTS[name]
 
 
+# sha256 of the file `chain-graph --dot` writes (with --complete for the
+# non-confluent one), recorded before to_dot lost its prune argument.
+DOT_DIGESTS = {
+    "idempotent_letter.json":
+        "c6f5451c497f5e1f09771bf52872ed5a2cec08d45d9a38ab7e946d3b4be35032",
+    "monomial.json":
+        "6fe202adf6f31dd6f9b31072c8204997e5d781a2d2bf4ae7c9eb7ef9b7673091",
+    "non_confluent.json":
+        "a9183ed15a69e32ff3af267c87977e15c37889362a40958b061eb4f0e3ec6081",
+    "poly4.json":
+        "ea8d91c4759bc614ed8126c3a616fac724896f42bbd9407013ad4369ca247ac7",
+    "running_example.json":
+        "0a98b5c6bedef97c0793291c4b81dbb9dea7bce6d6d3302483aef2fa1549fd83",
+    "s3_group.json":
+        "e3ca5eabc27cf0e17d90cc2a4e39a627f86249b08cb9da7b88fd55a0ceab4a2c",
+    "s3_group_gf2.json":
+        "e3ca5eabc27cf0e17d90cc2a4e39a627f86249b08cb9da7b88fd55a0ceab4a2c",
+    "s3_group_gf3.json":
+        "e3ca5eabc27cf0e17d90cc2a4e39a627f86249b08cb9da7b88fd55a0ceab4a2c",
+    "skew_poly3.json":
+        "13ee1557a87e2350fcad5ec488f3b1fcd18bbc8be82b803a5a354002c0a08679",
+    "skew_poly3_gf7.json":
+        "13ee1557a87e2350fcad5ec488f3b1fcd18bbc8be82b803a5a354002c0a08679",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_DIGESTS))
+def test_dot_digests(capsys, tmp_path, name):
+    target = tmp_path / "graph.dot"
+    extra = ["--complete"] if name == "non_confluent.json" else []
+    code, _, _ = run(capsys, "chain-graph", str(ROOT / "presentations" / name),
+                     *extra, "--dot", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DOT_DIGESTS[name]
+
+
 # sha256 of stdout of `resolve --degree 7 --show-homotopy`,
 # `resolve --degree 3 --show-homotopy` and `verify --degree 9`, recorded
 # before the word weight became len() for unit weights and the lift began

@@ -359,10 +359,10 @@ def test_tied_leading_words_fail(running_engine):
         running_engine._lift(1, tied)
 
 
-def doctored_engine(presentation, chain_word, extra, debug=False, degree=2):
+def doctored_engine(presentation, chain_word, extra, degree=2):
     """An engine whose cached d_degree of chain_word carries one extra
     term."""
-    eng = ResolutionEngine.from_presentation(presentation, debug=debug)
+    eng = ResolutionEngine.from_presentation(presentation)
     chain = eng.chain_with_word(degree, eng.algebra.word(chain_word))
     cycle = eng.differential(chain)
     eng._d_cache[(degree, chain.word)] = cycle + ModuleElement(
@@ -376,11 +376,6 @@ def test_lift_guards(running_presentation):
                                  ((0,), (0,) * 6))
     with pytest.raises(NonTermination, match="failed to decrease"):
         eng._lift(1, cycle)
-    # a term below it that is no cycle, caught only by the debug check
-    eng, cycle = doctored_engine(running_presentation, "xxx", ((2,), ()),
-                                 debug=True)
-    with pytest.raises(NotInKernel, match="lost mid-recursion"):
-        eng._lift(1, cycle)
     # a leading word with no obstruction past its chain
     with pytest.raises(NonTermination, match="no obstruction occurrence"):
         eng._lift(1, eng.basis_element(1, "x", "x"))
@@ -393,16 +388,6 @@ def test_two_engines_agree(running_presentation):
     b = ResolutionEngine.from_presentation(running_presentation)
     for n in range(1, 5):
         assert differentials(a, n) == differentials(b, n)
-
-
-def test_debug_checks_pass_and_agree(running_presentation, running_engine):
-    # debug adds the d d = 0 check on every differential and the cycle
-    # check at every step of the lift; neither may change a value
-    eng = ResolutionEngine.from_presentation(running_presentation,
-                                             debug=True)
-    for n in range(1, 7):
-        assert differentials(eng, n) == differentials(running_engine, n)
-    assert all(r.ok for r in eng.verify_complex(6))
 
 
 def test_verify_complex_reports_failures(running_presentation):
