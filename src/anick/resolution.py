@@ -213,14 +213,11 @@ class ResolutionEngine:
 
     # ---- scalars ----
 
-    def word_eval(self, w):
-        return self.presentation.word_eval(w)
-
     def epsilon(self, elem):
         """Augmentation of a degree-0 element."""
         if elem.degree != 0:
             raise ValueError("epsilon applies to degree-0 elements")
-        return self.field(sum(c * self.word_eval(w)
+        return self.field(sum(c * self.presentation.word_eval(w)
                               for (_, w), c in elem.terms.items()))
 
     # ---- module structure ----
@@ -270,7 +267,8 @@ class ResolutionEngine:
         """d_n(chain (x) 1) for a degree n >= 1 chain, cached.
 
         d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
-        into its (n-1)-chain prefix and tail word.
+        into its (n-1)-chain prefix and tail word; for n = 1 the prefix is
+        the empty 0-chain, d_0 is the augmentation and i_{-1} the unit.
         """
         n = chain.degree
         if n < 1:
@@ -285,36 +283,31 @@ class ResolutionEngine:
             for c in self.chains(self._filled_degree + 1):
                 self.differential(c)
             self._filled_degree += 1
-        if n == 1:
-            terms = {((), chain.word): self.field.one}
-            eps = self.word_eval(chain.word)
-            if eps:
-                terms[((), ())] = self.field(-eps)
-            result = ModuleElement(0, terms, self.p)
-        else:
-            cut = prefix_length(chain, n - 1)
-            lead = (chain.word[:cut], chain.word[cut:])
-            base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
-            # a boundary by construction, so the lift skips the cycle check
-            boundary = self.apply_differential(base)
-            if n == 2:
-                correction = self.i0(boundary)
-            else:
-                correction = self._lift(n - 2, boundary)
-            result = base - correction
-            ckey = self.order.descending_key(chain.word)
-            assert result.terms.get(lead) == self.field.one, \
-                "leading coefficient drifted"
-            for t in result.terms:
-                assert t == lead or self.descending_basis_key(t) > ckey, \
-                    "differential tail must sit below the chain word"
+        cut = prefix_length(chain, n - 1)
+        lead = (chain.word[:cut], chain.word[cut:])
+        base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
+        # a boundary by construction, so the lift skips the cycle check
+        result = base - self._lift(n - 2, self.apply_differential(base))
+        ckey = self.order.descending_key(chain.word)
+        assert result.terms.get(lead) == self.field.one, \
+            "leading coefficient drifted"
+        for t in result.terms:
+            assert t == lead or self.descending_basis_key(t) > ckey, \
+                "differential tail must sit below the chain word"
         self._d_cache[key] = result
         return result
 
     def apply_differential(self, elem):
-        """Extend d over a whole element by right-linearity."""
-        if elem.degree < 1:
-            raise ValueError("no differential below degree 1")
+        """Extend d over a whole element by right-linearity.
+
+        d_0 is the augmentation: a degree-0 element maps to its value
+        times [1 | 1], the basis term of k in degree -1.
+        """
+        if elem.degree < 0:
+            raise ValueError("no differential below degree 0")
+        if elem.degree == 0:
+            eps = self.epsilon(elem)
+            return ModuleElement(-1, {((), ()): eps} if eps else {}, self.p)
         index = self._index(elem.degree)
         out = {}
         for (cw, w), c in elem.terms.items():
@@ -323,31 +316,13 @@ class ResolutionEngine:
 
     # ---- contracting homotopy ----
 
-    def i0(self, elem):
-        """Homotopy in degree 0: splits epsilon over the normal-word basis."""
-        if elem.degree != 0:
-            raise ValueError("i0 applies to degree-0 elements")
-        if self.epsilon(elem):
-            raise NotInKernel("element has nonzero augmentation")
-        pairs = []
-        for (_, s), c in elem.terms.items():
-            # c times the augmentation of the prefix s[:j]; the 1-chains
-            # are the letters
-            coeff = c
-            for j in range(len(s)):
-                pairs.append((((s[j],), s[j + 1:]), coeff))
-                coeff = coeff * self.word_eval((s[j],))
-                if not coeff:
-                    break
-        return ModuleElement(1, axpy({}, pairs, 1, self.p), self.p)
-
     def homotopy(self, n, elem):
-        """i_n: a right inverse of d_{n+1} on the kernel of d_n.
+        """i_n: a right inverse of d_{n+1} on the kernel of d_n, n >= 0.
 
         Raises NotInKernel when elem is not a d_n cycle.
         """
-        if n == 0:
-            return self.i0(elem)
+        if n < 0:
+            raise ValueError("no homotopy below degree 0")
         if elem.degree != n:
             raise ValueError("degree mismatch")
         if elem and self.apply_differential(elem):
@@ -355,15 +330,18 @@ class ResolutionEngine:
         return self._lift(n, elem)
 
     def _lift(self, n, elem):
-        """i_n for n >= 1 on an element already known to be a cycle.
+        """i_n for n >= -1 on an element already known to be a cycle.
 
-        Peels the leading term, the one with the least descending key
-        (the greatest word chain word + normal word), locates the
-        obstruction completing it to a degree n+1 chain, and subtracts
+        i_{-1} is the unit, 1 -> [1 | 1]. Otherwise peels the leading
+        term, the one with the least descending key (the greatest word
+        chain word + normal word), locates the obstruction completing it
+        to a degree n+1 chain (for n = 0 its first letter), and subtracts
         that chain's image from the rest; the leading word strictly
         decreases, so its descending key strictly increases, which is also
         enforced as a guard, and every term of the result is emitted once.
         """
+        if n == -1:
+            return ModuleElement(0, dict(elem.terms), self.p)
         automaton = self.obstruction_set.automaton
         lower, upper = self._index(n), self._index(n + 1)
         out = {}
@@ -381,19 +359,22 @@ class ResolutionEngine:
                     "leading word %s failed to decrease"
                     % self.algebra.word_str(lead_word))
             prev_key = lk
-            cut = prefix_length(lower[cw], n - 1)
-            pos, idx = automaton.first_match(lead_word[cut:])
-            if pos < 0:
-                raise NonTermination(
-                    "no obstruction occurrence in the reducible part of %s; "
-                    "input was outside the kernel"
-                    % self.algebra.word_str(lead_word))
-            start = cut + pos
-            end = start + automaton.lengths[idx]
-            if not (start < len(cw) < end):
-                raise NonTermination(
-                    "obstruction occurrence in %s does not straddle the "
-                    "chain boundary" % self.algebra.word_str(lead_word))
+            if n == 0:
+                end = 1  # the 1-chains are the letters
+            else:
+                cut = prefix_length(lower[cw], n - 1)
+                pos, idx = automaton.first_match(lead_word[cut:])
+                if pos < 0:
+                    raise NonTermination(
+                        "no obstruction occurrence in the reducible part of "
+                        "%s; input was outside the kernel"
+                        % self.algebra.word_str(lead_word))
+                start = cut + pos
+                end = start + automaton.lengths[idx]
+                if not (start < len(cw) < end):
+                    raise NonTermination(
+                        "obstruction occurrence in %s does not straddle the "
+                        "chain boundary" % self.algebra.word_str(lead_word))
             cnew = upper.get(lead_word[:end])
             if cnew is None:
                 raise NonTermination(
@@ -419,11 +400,7 @@ class ResolutionEngine:
             ok = True
             cs = self.chains(n)
             for c in cs:
-                d = self.differential(c)
-                if n == 1:
-                    if self.epsilon(d):
-                        ok = False
-                elif self.apply_differential(d):
+                if self.apply_differential(self.differential(c)):
                     ok = False
             rows.append(DegreeReport(n, len(cs), ok,
                                      time.perf_counter() - t0))
@@ -440,6 +417,7 @@ class ResolutionEngine:
         """
         if max_degree < 1:
             raise ValueError("nothing to diagnose below degree 1")
+        word_eval = self.presentation.word_eval
         out = {}
         for n in range(1, max_degree + 1):
             rows = self.chains(n - 1)
@@ -447,7 +425,7 @@ class ResolutionEngine:
             row_index = {c.word: i for i, c in enumerate(rows)}
             entries = {}
             for j, c in enumerate(cols):
-                vals = ((row_index[cw], coeff * self.word_eval(w))
+                vals = ((row_index[cw], coeff * word_eval(w))
                         for (cw, w), coeff in self.differential(c).terms.items())
                 axpy(entries, (((i, j), v) for i, v in vals if v), 1, self.p)
             out[n] = {"rows": [c.word for c in rows],

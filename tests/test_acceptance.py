@@ -264,14 +264,15 @@ def test_criterion_10_general_augmentation():
         eng = anick.ResolutionEngine.from_presentation(pres)
         one = eng.chains(0)[0]
         for w in eng.rs.normal_words(6):
-            z = eng.element(0, [(one, w, 1), (one, (), -eng.word_eval(w))])
+            z = eng.element(0, [(one, w, 1), (one, (), -pres.word_eval(w))])
             if not z:
                 continue
-            assert eng.apply_differential(eng.i0(z)) == z
+            assert eng.apply_differential(eng.homotopy(0, z)) == z
         for report in eng.verify_complex(5):
             assert report.ok
 
-    checked(10, "augmentation at x=1: i0 splits d1, complex verifies", 5, body)
+    checked(10, "augmentation at x=1: homotopy(0, .) splits d1, complex "
+            "verifies", 5, body)
 
 
 def test_criterion_11_falsification_and_completion():

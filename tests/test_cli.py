@@ -478,6 +478,57 @@ def test_deep_stdout_digests(capsys, tmp_path, name):
     assert tuple(got) == DEEP_STDOUT_DIGESTS[name]
 
 
+# sha256 of stdout of `resolve --degree 1 --show-homotopy` and
+# `resolve --degree 2 --show-homotopy` (with --complete for the
+# non-confluent one), recorded before i_0 became a step of the lift. They
+# print i_0 and d_1, and d_2, which is built with i_0.
+LOW_STDOUT_DIGESTS = {
+    "idempotent_letter.json": (
+        "f01f844be122e44ed0c8f53f3a42e9044be6d734fa6cd9c8826fd41f0d46d28d",
+        "c06976e2ee14ef6390feffaafea4120eb95bad072a17a1f78b57743c2281d845"),
+    "monomial.json": (
+        "caf8c38b34dd1c3be6e2181c5c76a3fe039143bc1361948a8a892c3961d6dd8e",
+        "3c5e9f87733469acd82ff2f8c03e75f51fcc53c66f4869b639c9fa38ac69c253"),
+    "non_confluent.json": (
+        "caf8c38b34dd1c3be6e2181c5c76a3fe039143bc1361948a8a892c3961d6dd8e",
+        "96ec82e6395b084360ec5200b0fab8dc0550dde26865ce5e8c1cc7f4a3f9b919"),
+    "poly4.json": (
+        "3ab4509aef3c979b0712310cb67c5b7ed898062589f0ebd6df65ecc54e99ee15",
+        "3fa675a7e84beb9ca32e90832b6123dd55478781b1238e4b6aa63bb5d3b9af4f"),
+    "running_example.json": (
+        "27327fea932fd430cd2097ef06529ce6481c1fb8ecd97cb5654169c76b107d90",
+        "24b4ba71c5dc47327b26ca2d82442347e067ce34a7b997f962557fc56cd1b98a"),
+    "s3_group.json": (
+        "fe9249452feea04e7cd996acda15cf1dc2c5c4e654835c4b256169cef748af56",
+        "b5047d58b4d0fa6efc8d92ddad15ed329019ca6f73cae10df5ff333cb6a1b80b"),
+    "s3_group_gf2.json": (
+        "6ca3695f1f39bb0ed23b1e2fb7c39e0cf544e91a6d494aca8b08ccb7cd3b4e22",
+        "e705c7c41a8222ab22ba6c91df116b497ad8f124ca42666b91ee59a0d5c6dd17"),
+    "s3_group_gf3.json": (
+        "4a340a80a681ed4aecd596784c70b24dc7caae8fd32081e583ddc9899faa2162",
+        "874dfd841b5de52e02c55264d5fc492062cb203af997ffa1f5b38dccadd9fd1b"),
+    "skew_poly3.json": (
+        "45753616b862569675c4869b14a707fb518d68803c71bfa6218805391ca39582",
+        "5718e7950c1c903983638a292d3b4c8c8fe0ab3f084ab425c793344bcbb87f4d"),
+    "skew_poly3_gf7.json": (
+        "4cb8d0657825ec2a645cd87b74b86a3cbc9fe47ecb09d6d590c57d5aff6d2044",
+        "188b9fd159f0271f5ef13f0375648363ead8c0934b2d0eb3be7b0528031c0e88"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_STDOUT_DIGESTS))
+def test_low_degree_stdout_digests(capsys, name):
+    extra = ["--complete"] if name == "non_confluent.json" else []
+    got = []
+    for degree in ("1", "2"):
+        code, out, _ = run(capsys, "resolve", "--degree", degree,
+                           "--show-homotopy", *extra,
+                           str(ROOT / "presentations" / name))
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == LOW_STDOUT_DIGESTS[name]
+
+
 XYZ = str(ROOT / "perfbench" / "inputs" / "xyz.json")
 
 

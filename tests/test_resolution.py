@@ -151,15 +151,30 @@ def test_epsilon(running_engine, idempotent_presentation):
 
 # ---- the splitting maps ----
 
+@pytest.mark.parametrize("name", ["running_example.json",
+                                  "s3_group_gf3.json", "skew_poly3.json"])
+def test_d0_is_augmentation(name):
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / name))
+    one = eng.chains(0)[0]
+    z = eng.element(0, [(one, "1", 3)]
+                    + [(one, w, 5) for w in eng.rs.normal_words(2)])
+    assert eng.epsilon(z)
+    assert eng.apply_differential(z) == eng.element(
+        -1, [(one, "1", eng.epsilon(z))])
+    with pytest.raises(ValueError, match="below degree 0"):
+        eng.apply_differential(eng.apply_differential(z))
+
+
 def test_i0(running_engine):
     eng = running_engine
     one = eng.chains(0)[0]
     z = eng.element(0, [(one, "x", 1)])
-    assert eng.format_element(eng.i0(z)) == "[x | 1]"
+    assert eng.format_element(eng.homotopy(0, z)) == "[x | 1]"
     z = eng.element(0, [(one, "xy", 1)])
-    assert eng.format_element(eng.i0(z)) == "[x | y]"
+    assert eng.format_element(eng.homotopy(0, z)) == "[x | y]"
     with pytest.raises(NotInKernel):
-        eng.i0(eng.element(0, [(one, "1", 1)]))
+        eng.homotopy(0, eng.element(0, [(one, "1", 1)]))
 
 
 def test_i0_splits_d1(running_engine, idempotent_presentation):
@@ -169,11 +184,11 @@ def test_i0_splits_d1(running_engine, idempotent_presentation):
         one = eng.chains(0)[0]
         words = eng.rs.normal_words(4)
         for w in words:
-            val = eng.word_eval(w)
+            val = eng.presentation.word_eval(w)
             z = eng.element(0, [(one, w, 1), (one, (), -val)])
             if not z:
                 continue
-            assert eng.apply_differential(eng.i0(z)) == z
+            assert eng.apply_differential(eng.homotopy(0, z)) == z
 
 
 def test_homotopy_sections_image(running_engine):
@@ -406,6 +421,12 @@ def test_reports_need_degree_one(running_engine):
         running_engine.verify_complex(0)
     with pytest.raises(ValueError, match="below degree 1"):
         running_engine.minimality_diagnostic(-2)
+
+
+def test_homotopy_needs_degree_zero(running_engine):
+    # i_{-1}, the unit k -> C_0, is internal to the lift
+    with pytest.raises(ValueError, match="below degree 0"):
+        running_engine.homotopy(-1, ModuleElement(-1, {((), ()): 1}, 0))
 
 
 # ---- diagnostics ----
