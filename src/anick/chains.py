@@ -187,6 +187,24 @@ class ChainGraph:
             edges[s] = tuple(targets)
         self.edges = edges
 
+    def chain_counts(self, degree):
+        """The number of chains of each degree 0..degree: the length-n paths
+        from the root, counted by dynamic programming over the nodes
+        without listing them."""
+        if degree < 0:
+            raise ValueError("negative degree")
+        edges = self.edges
+        paths = {(): 1}
+        out = [1]
+        for _ in range(degree):
+            nxt = defaultdict(int)
+            for s, k in paths.items():
+                for t, _ in edges.get(s, ()):
+                    nxt[t] += k
+            paths = nxt
+            out.append(sum(paths.values()))
+        return out
+
     def reachable(self):
         """Nodes reachable from the root."""
         seen = {()}

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cap on what a
+command will list."""
+
+# The most items one listing may hold: the chains of one degree, or the
+# normal words up to a length. Counts known before listing are checked
+# against it, so that no command builds a list it cannot hold.
+MAX_ITEMS = 10 ** 6
 
 
 class AnickError(Exception):
@@ -18,7 +24,15 @@ class InvalidPresentation(AnickError):
 
 
 class BoundExceeded(AnickError):
-    """Degree bound too small for the requested computation."""
+    """Degree bound too small for the requested computation, or a listing
+    above MAX_ITEMS."""
+
+
+def require_listable(count, what):
+    """Raise BoundExceeded when count items of what exceed MAX_ITEMS."""
+    if count > MAX_ITEMS:
+        raise BoundExceeded("%d %s exceed the cap of %d items"
+                            % (count, what, MAX_ITEMS))
 
 
 class NotGroebner(AnickError):

@@ -8,7 +8,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BoundExceeded, InvalidPresentation, ZeroPolynomial
+from .errors import (BoundExceeded, InvalidPresentation, ZeroPolynomial,
+                     require_listable)
 from .fields import QQ, field_from_json
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
                            axpy, words_up_to_weight)
@@ -276,9 +277,10 @@ class RewriteSystem:
 
     def normal_words(self, max_length):
         """All normal words of length <= max_length, sorted by weight and
-        then alphabetically."""
-        if max_length < 0:
-            raise ValueError("max_length must be nonnegative")
+        then alphabetically; BoundExceeded when they number more than
+        MAX_ITEMS."""
+        require_listable(sum(self.count_normal_words(max_length)),
+                         "normal words of length at most %d" % max_length)
         weight = self.algebra.order.weight
         out = self.automaton().language(max_length,
                                         len(self.algebra.alphabet))

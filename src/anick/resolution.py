@@ -4,8 +4,10 @@ the resolution, and the contracting homotopy that defines them."""
 import time
 from dataclasses import dataclass
 
-from .chains import ChainGraph, enumerate_chains, obstructions, prefix_length
-from .errors import NonTermination, NotGroebner, NotInKernel, ZeroElement
+from .chains import (ChainGraph, enumerate_chains, identity_chain,
+                     obstructions, prefix_length)
+from .errors import (NonTermination, NotGroebner, NotInKernel, ZeroElement,
+                     require_listable)
 from .free_algebra import axpy, format_signed_sum
 from .groebner import RewriteSystem, check_groebner, complete
 
@@ -14,10 +16,11 @@ class ModuleElement:
     """Finite combination of basis elements chain (x) normal word of one
     homological degree.
 
-    terms maps the pair (chain word, normal word) to a nonzero coefficient;
-    the chain word names the chain, since chains of one degree have
-    distinct words. p is the field's characteristic, without a default so
-    that no element over GF(p) falls back to characteristic-0 arithmetic.
+    terms maps the pair (i, normal word) to a nonzero coefficient, where i
+    is the position of the chain in engine.chains(degree); k in degree -1
+    has the one term (0, ()). p is the field's characteristic, without a
+    default so that no element over GF(p) falls back to characteristic-0
+    arithmetic.
     """
 
     __slots__ = ("degree", "terms", "p")
@@ -107,9 +110,9 @@ class ResolutionEngine:
     """Computes differentials d_n and contracting homotopies i_n over the
     chain bases of a verified minimal rewrite system.
 
-    Differentials are cached, and filled in ascending degree order; the
-    homotopy is recomputed on every call. Repeated runs produce identical
-    orderings and cache contents.
+    Differentials are cached one whole degree at a time, in ascending
+    degree order; the homotopy is recomputed on every call. Repeated runs
+    produce identical orderings and cache contents.
     """
 
     def __init__(self, presentation, rewrite_system):
@@ -122,9 +125,11 @@ class ResolutionEngine:
         self.obstruction_set = obstructions(rewrite_system)
         self.graph = ChainGraph(self.obstruction_set, self.algebra.alphabet)
         self._chains = {}
-        self._chain_index = {}
-        self._d_cache = {}
-        self._filled_degree = 0
+        # degree -> {chain word: position in chains(degree)}; the empty
+        # word names k's one term in degree -1
+        self._positions = {-1: {(): 0}}
+        # _d[n] lists d_n over chains(n), n >= 1; degree 0 has none
+        self._d = [None]
 
     @classmethod
     def from_presentation(cls, pres, max_degree=7, complete_system=False):
@@ -152,19 +157,35 @@ class ResolutionEngine:
     # ---- chain bookkeeping ----
 
     def chains(self, degree):
-        if degree not in self._chains:
-            cs = enumerate_chains(self.graph, degree, self.order)
-            self._chains[degree] = cs
-            self._chain_index[degree] = {c.word: c for c in cs}
-        return self._chains[degree]
+        """The chains of one degree, ascending; a term's position indexes
+        this list. Enumerating them lists every lower degree on the way, so
+        BoundExceeded refuses, before any listing, a degree up to this one
+        with more chains than the cap."""
+        cs = self._chains.get(degree)
+        if cs is None:
+            counts = self.graph.chain_counts(degree)
+            top = max(range(degree + 1), key=counts.__getitem__)
+            require_listable(counts[top], "degree-%d chains" % top)
+            cs = self._chains[degree] = enumerate_chains(self.graph, degree,
+                                                         self.order)
+        return cs
 
-    def _index(self, degree):
-        """{chain word: chain} over the chains of one degree."""
-        self.chains(degree)
-        return self._chain_index[degree]
+    def _position(self, degree):
+        """{chain word: position in chains(degree)} over one degree."""
+        pos = self._positions.get(degree)
+        if pos is None:
+            pos = self._positions[degree] = {
+                c.word: i for i, c in enumerate(self.chains(degree))}
+        return pos
+
+    def _basis_chains(self, degree):
+        """The chains a term's position indexes: chains(degree), and the
+        identity chain for k in degree -1."""
+        return (identity_chain(),) if degree == -1 else self.chains(degree)
 
     def chain_with_word(self, degree, word):
-        return self._index(degree).get(tuple(word))
+        i = self._position(degree).get(tuple(word))
+        return None if i is None else self.chains(degree)[i]
 
     # ---- element constructors ----
 
@@ -172,14 +193,25 @@ class ResolutionEngine:
         return ModuleElement(degree, {}, self.p)
 
     def element(self, degree, items):
-        """Build from (chain, word, coeff) triples; words may be strings."""
+        """Build from (chain, word, coeff) triples; words may be strings.
+
+        Each triple becomes the term (i, word), i the position of the
+        chain in chains(degree); the empty identity chain names k's one
+        term in degree -1. A chain that is not of that degree raises
+        ValueError.
+        """
+        positions = self._position(degree)
         pairs = []
         for chain, word, coeff in items:
+            i = positions.get(chain.word)
+            if i is None:
+                raise ValueError("%s is not a degree-%d chain"
+                                 % (self.algebra.word_str(chain.word), degree))
             if isinstance(word, str):
                 word = self.algebra.word(word)
             c = self.field(coeff)
             if c:
-                pairs.append(((chain.word, tuple(word)), c))
+                pairs.append(((i, tuple(word)), c))
         return ModuleElement(degree, axpy({}, pairs, 1, self.p), self.p)
 
     def basis_element(self, degree, chain_word, word="1", coeff=1):
@@ -193,22 +225,26 @@ class ResolutionEngine:
 
     # ---- order on the tensor basis ----
 
-    def basis_key(self, term):
-        chain_word, word = term
-        return self.order.key(chain_word + word)
+    def basis_key(self, degree, term):
+        """The order key of the word of a degree term: its chain word
+        followed by its normal word."""
+        i, word = term
+        return self.order.key(self._basis_chains(degree)[i].word + word)
 
-    def descending_basis_key(self, term):
-        """The descending key of the word chain word + normal word: the
-        least sorts first and leads."""
-        chain_word, word = term
-        return self.order.descending_key(chain_word + word)
+    def _descending_key(self, degree):
+        """term -> the descending key of its word, chain word + normal
+        word, over the terms of one degree: the least sorts first and
+        leads."""
+        cs = self._basis_chains(degree)
+        dk = self.order.descending_key
+        return lambda term: dk(cs[term[0]].word + term[1])
 
     def module_lm(self, elem):
         """Leading (word, term, coeff) of a nonzero element; word is the
         chain word followed by the normal word of term."""
         if not elem.terms:
             raise ZeroElement("zero element has no leading term")
-        best, lk = _leading_term(elem.terms, self.descending_basis_key)
+        best, lk = _leading_term(elem.terms, self._descending_key(elem.degree))
         return lk[1], best, elem.terms[best]
 
     # ---- scalars ----
@@ -243,10 +279,10 @@ class ResolutionEngine:
             return acc
         nf = self.rs.normal_form_word
         get = acc.get
-        for (cw, w), m in elem.terms.items():
+        for (i, w), m in elem.terms.items():
             cm = c * m
             for v, k in nf(w + word).terms.items():
-                t = (cw, v)
+                t = (i, v)
                 k = cm * k
                 old = get(t)
                 if old is not None:
@@ -264,37 +300,46 @@ class ResolutionEngine:
     # ---- differentials ----
 
     def differential(self, chain):
-        """d_n(chain (x) 1) for a degree n >= 1 chain, cached.
+        """d_n(chain (x) 1) for a degree-n chain of this engine, n >= 1,
+        built with every other differential of its degree."""
+        n = chain.degree
+        if n < 1:
+            raise ValueError("no differential below degree 1")
+        i = self._position(n).get(chain.word)
+        if i is None:
+            raise ValueError("%s is not a degree-%d chain"
+                             % (self.algebra.word_str(chain.word), n))
+        return self._differentials(n)[i]
 
-        d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
+    def _differentials(self, n):
+        """d_n over chains(n), position by position, n >= 1; every missing
+        degree up to n is built whole, ascending, so that building d_n only
+        reads the differentials of lower degrees and the call depth stays
+        flat."""
+        ds = self._d
+        while len(ds) <= n:
+            ds.append([self._build_differential(c)
+                       for c in self.chains(len(ds))])
+        return ds[n]
+
+    def _build_differential(self, chain):
+        """d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
         into its (n-1)-chain prefix and tail word; for n = 1 the prefix is
         the empty 0-chain, d_0 is the augmentation and i_{-1} the unit.
         """
         n = chain.degree
-        if n < 1:
-            raise ValueError("no differential below degree 1")
-        key = (n, chain.word)
-        cached = self._d_cache.get(key)
-        if cached is not None:
-            return cached
-        # fill every lower degree first, ascending, so that building d_n
-        # only reads cached differentials and the call depth stays flat
-        while self._filled_degree < n - 1:
-            for c in self.chains(self._filled_degree + 1):
-                self.differential(c)
-            self._filled_degree += 1
         cut = prefix_length(chain, n - 1)
-        lead = (chain.word[:cut], chain.word[cut:])
+        lead = (self._position(n - 1)[chain.word[:cut]], chain.word[cut:])
         base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
         # a boundary by construction, so the lift skips the cycle check
         result = base - self._lift(n - 2, self.apply_differential(base))
         ckey = self.order.descending_key(chain.word)
+        keyf = self._descending_key(n - 1)
         assert result.terms.get(lead) == self.field.one, \
             "leading coefficient drifted"
         for t in result.terms:
-            assert t == lead or self.descending_basis_key(t) > ckey, \
+            assert t == lead or keyf(t) > ckey, \
                 "differential tail must sit below the chain word"
-        self._d_cache[key] = result
         return result
 
     def apply_differential(self, elem):
@@ -307,11 +352,11 @@ class ResolutionEngine:
             raise ValueError("no differential below degree 0")
         if elem.degree == 0:
             eps = self.epsilon(elem)
-            return ModuleElement(-1, {((), ()): eps} if eps else {}, self.p)
-        index = self._index(elem.degree)
+            return ModuleElement(-1, {(0, ()): eps} if eps else {}, self.p)
+        ds = self._differentials(elem.degree)
         out = {}
-        for (cw, w), c in elem.terms.items():
-            self._act_into(out, self.differential(index[cw]), w, c)
+        for (i, w), c in elem.terms.items():
+            self._act_into(out, ds[i], w, c)
         return ModuleElement(elem.degree - 1, out, self.p)
 
     # ---- contracting homotopy ----
@@ -343,17 +388,19 @@ class ResolutionEngine:
         if n == -1:
             return ModuleElement(0, dict(elem.terms), self.p)
         automaton = self.obstruction_set.automaton
-        lower, upper = self._index(n), self._index(n + 1)
+        lower = self.chains(n)
+        upper = self._position(n + 1)
+        d_upper = self._differentials(n + 1)
         out = {}
         work = dict(elem.terms)
         # each term's key is computed once per call, not once per step
-        keyf = _KeyMemo(self.descending_basis_key).__getitem__
+        keyf = _KeyMemo(self._descending_key(n)).__getitem__
         prev_key = None
         guard = 0
         while work:
-            (cw, w), lk = _leading_term(work, keyf)
+            lead, lk = _leading_term(work, keyf)
             lead_word = lk[1]
-            coeff = work[(cw, w)]
+            coeff = work[lead]
             if prev_key is not None and not lk > prev_key:
                 raise NonTermination(
                     "leading word %s failed to decrease"
@@ -362,7 +409,8 @@ class ResolutionEngine:
             if n == 0:
                 end = 1  # the 1-chains are the letters
             else:
-                cut = prefix_length(lower[cw], n - 1)
+                chain = lower[lead[0]]
+                cut = prefix_length(chain, n - 1)
                 pos, idx = automaton.first_match(lead_word[cut:])
                 if pos < 0:
                     raise NonTermination(
@@ -371,18 +419,18 @@ class ResolutionEngine:
                         % self.algebra.word_str(lead_word))
                 start = cut + pos
                 end = start + automaton.lengths[idx]
-                if not (start < len(cw) < end):
+                if not (start < len(chain.word) < end):
                     raise NonTermination(
                         "obstruction occurrence in %s does not straddle the "
                         "chain boundary" % self.algebra.word_str(lead_word))
-            cnew = upper.get(lead_word[:end])
-            if cnew is None:
+            j = upper.get(lead_word[:end])
+            if j is None:
                 raise NonTermination(
                     "%s is not a degree-%d chain word"
                     % (self.algebra.word_str(lead_word[:end]), n + 1))
             tword = lead_word[end:]
-            out[(cnew.word, tword)] = coeff
-            self._act_into(work, self.differential(cnew), tword, -coeff)
+            out[(j, tword)] = coeff
+            self._act_into(work, d_upper[j], tword, -coeff)
             guard += 1
             if guard > 100000:
                 raise NonTermination("iteration cap reached at degree %d" % n)
@@ -394,15 +442,16 @@ class ResolutionEngine:
         """Check d_{n-1} d_n = 0 on every basis chain up to max_degree."""
         if max_degree < 1:
             raise ValueError("nothing to verify below degree 1")
+        self.chains(max_degree)  # refuses an oversized degree up front
         rows = []
         for n in range(1, max_degree + 1):
             t0 = time.perf_counter()
             ok = True
-            cs = self.chains(n)
-            for c in cs:
-                if self.apply_differential(self.differential(c)):
+            ds = self._differentials(n)
+            for d in ds:
+                if self.apply_differential(d):
                     ok = False
-            rows.append(DegreeReport(n, len(cs), ok,
+            rows.append(DegreeReport(n, len(ds), ok,
                                      time.perf_counter() - t0))
         return rows
 
@@ -413,20 +462,22 @@ class ResolutionEngine:
         there. Returns {degree: {"rows", "cols", "entries", "nonzero"}}:
         rows and cols are the words of the (n-1)- and n-chains, entries
         maps (row index, column index) to each nonzero value of eps(d_n),
-        keyed in row-major order, and nonzero is bool(entries).
+        keyed in row-major order, and nonzero is bool(entries). The row
+        index is the position i of each term (i, w) of d_n, the column
+        index the position of the n-chain.
         """
         if max_degree < 1:
             raise ValueError("nothing to diagnose below degree 1")
+        self.chains(max_degree)  # refuses an oversized degree up front
         word_eval = self.presentation.word_eval
         out = {}
         for n in range(1, max_degree + 1):
             rows = self.chains(n - 1)
             cols = self.chains(n)
-            row_index = {c.word: i for i, c in enumerate(rows)}
             entries = {}
-            for j, c in enumerate(cols):
-                vals = ((row_index[cw], coeff * word_eval(w))
-                        for (cw, w), coeff in self.differential(c).terms.items())
+            for j, d in enumerate(self._differentials(n)):
+                vals = ((i, coeff * word_eval(w))
+                        for (i, w), coeff in d.terms.items())
                 axpy(entries, (((i, j), v) for i, v in vals if v), 1, self.p)
             out[n] = {"rows": [c.word for c in rows],
                       "cols": [c.word for c in cols],
@@ -440,10 +491,11 @@ class ResolutionEngine:
         """Render with terms descending: coeff·[chainword | normalword]."""
         ws = self.algebra.word_str
         one = self.field.one
+        cs = self._basis_chains(elem.degree)
+        keyf = self._descending_key(elem.degree)
 
         def body(term, mag):
-            text = "[%s | %s]" % (ws(term[0]), ws(term[1]))
+            text = "[%s | %s]" % (ws(cs[term[0]].word), ws(term[1]))
             return text if mag == one else "%s·%s" % (mag, text)
-        terms = sorted(elem.terms.items(),
-                       key=lambda kv: self.descending_basis_key(kv[0]))
+        terms = sorted(elem.terms.items(), key=lambda kv: keyf(kv[0]))
         return format_signed_sum(terms, body)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import anick
 from anick import (Alphabet, Chain, MonomialOrder, ObstructionSet,
-                   Presentation, RewriteSystem, antichain_from_oim,
-                   bracket_prefix, bracket_tail, build_chain_graph, complete,
-                   enumerate_chains, enumerate_prechains, identity_chain,
-                   is_chain_top_down, is_prechain, obstructions,
-                   oim_from_antichain, split_chain, words_up_to_weight)
+                   Presentation, ResolutionEngine, RewriteSystem,
+                   antichain_from_oim, bracket_prefix, bracket_tail,
+                   build_chain_graph, complete, enumerate_chains,
+                   enumerate_prechains, identity_chain, is_chain_top_down,
+                   is_prechain, obstructions, oim_from_antichain, split_chain,
+                   words_up_to_weight)
 from test_wordops import is_antichain, ref_find_subword
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -426,6 +427,46 @@ def test_weight_runs_sort_by_key(system, data):
         keys = [order.key(c.word)
                 for c in enumerate_chains(graph, degree, order)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+# ---- what resolution terms keyed by chain position rely on ----
+
+@settings(max_examples=100, deadline=None)
+@given(random_antichains(), st.integers(1, 5))
+def test_same_degree_chain_words_are_prefix_free(system, degree):
+    # a resolution term (i, w) stands for the word chain word + w, so two
+    # terms of one degree could share a word only if one chain word were a
+    # proper prefix of another of the same degree
+    n, words = system
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    graph = build_chain_graph(ObstructionSet(words), alphabet)
+    chain_words = {c.word for c in enumerate_chains(graph, degree,
+                                                    MonomialOrder(alphabet))}
+    for w in chain_words:
+        assert not any(w[:k] in chain_words for k in range(len(w)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_antichains())
+def test_chain_counts_match_enumeration(system):
+    n, words = system
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    graph = build_chain_graph(ObstructionSet(words), alphabet)
+    order = MonomialOrder(alphabet)
+    assert graph.chain_counts(6) == [len(enumerate_chains(graph, d, order))
+                                     for d in range(7)]
+
+
+def test_chain_counts_far_out():
+    # S3 has 2^(n-1) + 1 chains in degree n; the monomial algebra two
+    s3 = ResolutionEngine.from_presentation(
+        Presentation.load(ROOT / "presentations" / "s3_group.json"))
+    assert s3.graph.chain_counts(40)[40] == 2 ** 39 + 1
+    mono = ResolutionEngine.from_presentation(
+        Presentation.load(ROOT / "presentations" / "monomial.json"))
+    assert mono.graph.chain_counts(20000)[-3:] == [2, 2, 2]
+    with pytest.raises(ValueError, match="negative degree"):
+        mono.graph.chain_counts(-1)
 
 
 def test_repeated_chain_word_is_caught(running):

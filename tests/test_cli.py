@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
 import anick.cli
 from anick import Presentation
 from anick.cli import main
+from anick.errors import MAX_ITEMS
 from test_resolution import doctored_engine
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -271,7 +276,7 @@ def test_verify(capsys):
 
 def test_verify_failure(capsys, monkeypatch):
     # [z | 1] added to d_2(xxx) breaks d d = 0 at degree 2
-    eng, _ = doctored_engine(Presentation.load(RUNNING), "xxx", ((2,), ()))
+    eng, _ = doctored_engine(Presentation.load(RUNNING), "xxx", ("z", "1"))
     monkeypatch.setattr(anick.cli.ResolutionEngine, "from_presentation",
                         lambda pres, **kwargs: eng)
     code, out, _ = run(capsys, "verify", RUNNING, "--degree", "2")
@@ -604,3 +609,63 @@ def test_timings_only_on_stderr(capsys):
     _, out, err = run(capsys, "verify", RUNNING, "--degree", "2")
     assert "elapsed" not in out
     assert "# elapsed:" in err
+
+
+# sha256 of stdout of `resolve s3_group.json --degree 11` and `diagnose
+# s3_group_gf3.json --degree 11`, text and json, the degree of the
+# benchmark's S3 workloads; recorded before resolution terms named their
+# chain by its position in its degree.
+@pytest.mark.parametrize("argv, digest", [
+    (["resolve", "s3_group.json"],
+     "d1c615f1853e8f2aa422d864f6c6a797227702064d28da94bf7b5faa652b3490"),
+    (["resolve", "s3_group.json", "--format", "json"],
+     "c7bca993f7e4ffe01bbeea7c3acee3b4bcf2062de5e003aadb86f0fc2a59957e"),
+    (["diagnose", "s3_group_gf3.json"],
+     "83273ba23fbeac29418d64908ed835b6c46bc6b94d2fa61333733f0c13fee437"),
+    (["diagnose", "s3_group_gf3.json", "--format", "json"],
+     "bde481268d25dfd0d0f7aaa548a5fb587a16b4a7ce23633e2e424a053c53d88a"),
+])
+def test_benchmark_degree_stdout_digests(capsys, argv, digest):
+    command, name, *rest = argv
+    code, out, _ = run(capsys, command, str(ROOT / "presentations" / name),
+                       "--degree", "11", *rest)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _limit_memory():
+    cap = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+# each listing is counted before it is built; without that, both commands
+# take all the memory there is, so they run in a child with a capped
+# address space
+@pytest.mark.parametrize("argv, count, what", [
+    (["resolve", "s3_group.json", "--degree", "40"], 549755813889,
+     "degree-40 chains"),
+    (["normal-words", "commuting.json", "--max-length", "30"], 6557470319841,
+     "normal words of length at most 30"),
+])
+def test_oversized_listings_exit_3(tmp_path, argv, count, what):
+    (tmp_path / "commuting.json").write_text(json.dumps(
+        {"generators": ["x", "y", "z"], "relations": ["x*y - y*x"]}))
+    command, name, *rest = argv
+    path = tmp_path / name if name == "commuting.json" else \
+        ROOT / "presentations" / name
+    script = ("import sys, time\n"
+              "from anick.cli import main\n"
+              "t0 = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print('took %f' % (time.perf_counter() - t0))\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, command, str(path),
+                           *rest], capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: %d %s exceed the cap of %d items\n" % (
+        count, what, MAX_ITEMS)
+    took = proc.stdout.split()
+    assert took[0] == "took" and len(took) == 2
+    assert float(took[1]) < 1.0

@@ -12,7 +12,7 @@ from anick import (NonTermination, NotInKernel, Presentation, ResolutionEngine,
                    ZeroElement)
 from anick.chains import prefix_length
 from anick.free_algebra import axpy
-from anick.resolution import ModuleElement
+from anick.resolution import ModuleElement, _leading_term
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
@@ -73,7 +73,8 @@ def test_d4(running_engine):
 
 
 def test_differential_shape(running_engine):
-    # lead term is the bracket split with coefficient one, the rest smaller
+    # lead term is the bracket split with coefficient one, the rest smaller;
+    # a term names its chain by position in the chains of its degree
     eng = running_engine
     for n in range(1, 6):
         for c in eng.chains(n):
@@ -82,10 +83,10 @@ def test_differential_shape(running_engine):
             assert word == c.word
             assert coeff == eng.field.one
             prefix, tail = anick.split_chain(c)
-            assert term == (prefix.word, tail)
+            assert term == (eng.chains(n - 1).index(prefix), tail)
             ckey = eng.order.key(c.word)
             for t in val.terms:
-                assert t == term or eng.basis_key(t) < ckey
+                assert t == term or eng.basis_key(n - 1, t) < ckey
 
 
 def test_complex_is_exact_at_squares(running_engine):
@@ -122,8 +123,11 @@ def test_basis_order(running_engine):
     assert a[0] == eng.algebra.word("xxxx")
     t1 = next(iter(eng.basis_element(2, "xxx", "yx").terms))
     t2 = next(iter(eng.basis_element(2, "xxyx", "1").terms))
+    words = [c.word for c in eng.chains(2)]
+    assert t1 == (words.index(eng.algebra.word("xxx")), eng.algebra.word("yx"))
+    assert t2 == (words.index(eng.algebra.word("xxyx")), ())
     # same weight, deglex on the concatenated word decides
-    assert eng.basis_key(t1) > eng.basis_key(t2)
+    assert eng.basis_key(2, t1) > eng.basis_key(2, t2)
 
 
 def test_act_renormalizes(running_engine):
@@ -147,6 +151,14 @@ def test_epsilon(running_engine, idempotent_presentation):
     assert eng2.epsilon(z2) == 1
     with pytest.raises(ValueError):
         eng.epsilon(eng.basis_element(1, "x"))
+
+
+def test_element_needs_a_chain_of_its_degree(running_engine):
+    eng = running_engine
+    with pytest.raises(ValueError, match="not a degree-1 chain"):
+        eng.element(1, [(eng.chains(2)[0], "1", 1)])
+    with pytest.raises(ValueError, match="not a degree-2 chain"):
+        eng.differential(anick.Chain(2, (0, 0), (0,), (1,), (2,)))
 
 
 # ---- the splitting maps ----
@@ -263,8 +275,8 @@ def reference_act_into(eng, acc, elem, word, c):
     if not word:
         return axpy(acc, elem.terms.items(), c, eng.p)
     nf = eng.rs.normal_form_word
-    for (cw, w), m in elem.terms.items():
-        axpy(acc, (((cw, v), k) for v, k in nf(w + word).terms.items()),
+    for (i, w), m in elem.terms.items():
+        axpy(acc, (((i, v), k) for v, k in nf(w + word).terms.items()),
              c * m, eng.p)
     return acc
 
@@ -278,19 +290,22 @@ def reference_act(eng, elem, word):
 def reference_lift(eng, n, elem):
     """i_n on a cycle: the term with the largest basis_key first."""
     automaton = eng.obstruction_set.automaton
-    lower, upper = eng._index(n), eng._index(n + 1)
+    upper = {c.word: j for j, c in enumerate(eng.chains(n + 1))}
     out = {}
     work = dict(elem.terms)
     prev_key = None
     guard = 0
     while work:
-        (cw, w), lk = reference_leading_term(work, eng.basis_key)
+        (i, w), lk = reference_leading_term(
+            work, lambda t: eng.basis_key(n, t))
+        chain = eng.chains(n)[i]
+        cw = chain.word
         lead_word = cw + w
-        coeff = work[(cw, w)]
+        coeff = work[(i, w)]
         if prev_key is not None and not lk < prev_key:
             raise NonTermination("leading word failed to decrease")
         prev_key = lk
-        cut = prefix_length(lower[cw], n - 1)
+        cut = prefix_length(chain, n - 1)
         pos, idx = automaton.first_match(lead_word[cut:])
         if pos < 0:
             raise NonTermination("no obstruction occurrence")
@@ -298,12 +313,13 @@ def reference_lift(eng, n, elem):
         end = start + automaton.lengths[idx]
         if not (start < len(cw) < end):
             raise NonTermination("occurrence does not straddle")
-        cnew = upper.get(lead_word[:end])
-        if cnew is None:
+        j = upper.get(lead_word[:end])
+        if j is None:
             raise NonTermination("not a chain word")
         tword = lead_word[end:]
-        out[(cnew.word, tword)] = coeff
-        reference_act_into(eng, work, eng.differential(cnew), tword, -coeff)
+        out[(j, tword)] = coeff
+        reference_act_into(eng, work, eng.differential(eng.chains(n + 1)[j]),
+                           tword, -coeff)
         guard += 1
         if guard > 100000:
             raise NonTermination("iteration cap reached")
@@ -365,30 +381,33 @@ def test_kernel_matches_reference(kernel_engines, name, data):
 
 
 def test_tied_leading_words_fail(running_engine):
-    # [x | y] and [xy | 1] are distinct terms with one word xy; the
-    # leading-term scan must refuse them rather than pick one
-    tied = ModuleElement(1, {((0,), (1,)): 1, ((0, 1), ()): 1}, 0)
+    # [x | y] and [xy | 1] are distinct terms with one word xy. Terms of
+    # one degree never tie, as chain words of one degree are never proper
+    # prefixes of each other, so the tie is fed to the scan directly: it
+    # must refuse the two keys rather than pick one
+    word = running_engine.algebra.word
+    words = {("x", "y"): word("xy"), ("xy", "1"): word("xy")}
+    dk = running_engine.order.descending_key
     with pytest.raises(AssertionError, match="share a word"):
-        running_engine.module_lm(tied)
-    with pytest.raises(AssertionError, match="share a word"):
-        running_engine._lift(1, tied)
+        _leading_term(words, lambda t: dk(words[t]))
 
 
 def doctored_engine(presentation, chain_word, extra, degree=2):
     """An engine whose cached d_degree of chain_word carries one extra
-    term."""
+    term, extra = (chain word, normal word) of degree - 1."""
     eng = ResolutionEngine.from_presentation(presentation)
     chain = eng.chain_with_word(degree, eng.algebra.word(chain_word))
     cycle = eng.differential(chain)
-    eng._d_cache[(degree, chain.word)] = cycle + ModuleElement(
-        degree - 1, {extra: 1}, eng.field.characteristic)
+    i = eng.chains(degree).index(chain)
+    eng._differentials(degree)[i] = cycle + eng.basis_element(
+        degree - 1, *extra)
     return eng, cycle
 
 
 def test_lift_guards(running_presentation):
     # a term above the leading word left behind by the subtraction
     eng, cycle = doctored_engine(running_presentation, "xxx",
-                                 ((0,), (0,) * 6))
+                                 ("x", "xxxxxx"))
     with pytest.raises(NonTermination, match="failed to decrease"):
         eng._lift(1, cycle)
     # a leading word with no obstruction past its chain
@@ -407,11 +426,11 @@ def test_two_engines_agree(running_presentation):
 
 def test_verify_complex_reports_failures(running_presentation):
     # [z | 1] added to d_2(xxx) is no cycle: d_1 d_2 != 0 at degree 2
-    eng, _ = doctored_engine(running_presentation, "xxx", ((2,), ()))
+    eng, _ = doctored_engine(running_presentation, "xxx", ("z", "1"))
     assert [(r.degree, r.chains, r.ok) for r in eng.verify_complex(2)] == [
         (1, 3, True), (2, 3, False)]
     # [1 | 1] added to d_1(x) survives the augmentation
-    eng, _ = doctored_engine(running_presentation, "x", ((), ()), degree=1)
+    eng, _ = doctored_engine(running_presentation, "x", ("1", "1"), degree=1)
     assert [(r.degree, r.chains, r.ok) for r in eng.verify_complex(1)] == [
         (1, 3, False)]
 
@@ -426,7 +445,7 @@ def test_reports_need_degree_one(running_engine):
 def test_homotopy_needs_degree_zero(running_engine):
     # i_{-1}, the unit k -> C_0, is internal to the lift
     with pytest.raises(ValueError, match="below degree 0"):
-        running_engine.homotopy(-1, ModuleElement(-1, {((), ()): 1}, 0))
+        running_engine.homotopy(-1, ModuleElement(-1, {(0, ()): 1}, 0))
 
 
 # ---- diagnostics ----
