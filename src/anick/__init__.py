@@ -5,7 +5,7 @@ from .chains import (Chain, ChainGraph, ObstructionSet, antichain_from_oim,
                      bracket_prefix, bracket_tail, build_chain_graph,
                      enumerate_chains, enumerate_prechains, identity_chain,
                      is_chain_top_down, is_prechain, obstructions,
-                     oim_from_antichain, split_chain)
+                     oim_from_antichain)
 from .errors import (AnickError, BoundExceeded, InvalidPresentation,
                      NonTermination, NotAnAntichain, NotAnOim, NotGroebner,
                      NotInKernel, NotMinimal, ZeroElement, ZeroPolynomial)
@@ -31,6 +31,5 @@ __all__ = [
     "bracket_prefix", "bracket_tail", "build_chain_graph", "check_groebner",
     "complete", "enumerate_chains", "enumerate_prechains", "identity_chain",
     "is_chain_top_down", "is_prechain", "leading_monomials_oracle",
-    "obstructions", "oim_from_antichain", "overlaps", "split_chain",
-    "words_up_to_weight",
+    "obstructions", "oim_from_antichain", "overlaps", "words_up_to_weight",
 ]

@@ -1,13 +1,13 @@
 """Obstruction anti-chains, the order-ideal/anti-chain correspondence,
 the chain graph, and chain enumeration with placement tuples."""
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter, eq
 
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
 from .groebner import require_long_leading_word
-from .wordops import NormalWordAutomaton
+from .wordops import NormalWordAutomaton, walk_counts
 
 
 class ObstructionSet:
@@ -145,14 +145,6 @@ def bracket_tail(chain, m):
     return chain.word[prefix_length(chain, m):]
 
 
-def split_chain(chain):
-    """Split off the largest proper chain prefix: (prefix, tail word)."""
-    if chain.degree < 1:
-        raise ValueError("cannot split the identity chain")
-    m = chain.degree - 1
-    return bracket_prefix(chain, m), bracket_tail(chain, m)
-
-
 class ChainGraph:
     """Directed graph whose length-n paths from the root spell the
     degree-n chains, built from an ObstructionSet and the alphabet.
@@ -188,22 +180,16 @@ class ChainGraph:
         self.edges = edges
 
     def chain_counts(self, degree):
-        """The number of chains of each degree 0..degree: the length-n paths
-        from the root, counted by dynamic programming over the nodes
-        without listing them."""
+        """The number of chains of each degree 0..degree."""
         if degree < 0:
             raise ValueError("negative degree")
-        edges = self.edges
-        paths = {(): 1}
-        out = [1]
-        for _ in range(degree):
-            nxt = defaultdict(int)
-            for s, k in paths.items():
-                for t, _ in edges.get(s, ()):
-                    nxt[t] += k
-            paths = nxt
-            out.append(sum(paths.values()))
-        return out
+        return list(islice(self.iter_chain_counts(), degree + 1))
+
+    def iter_chain_counts(self):
+        """The number of chains of each degree 0, 1, 2, ..., lazily: the
+        paths from the root, counted without listing them."""
+        return walk_counts({s: [t for t, _ in es]
+                            for s, es in self.edges.items()}, ())
 
     def reachable(self):
         """Nodes reachable from the root."""
@@ -247,14 +233,7 @@ def build_chain_graph(obstruction_set, alphabet):
 
 def enumerate_chains(graph, degree, order):
     """All chains of the given degree, ascending by order, the monomial
-    order of the presentation the graph was built from.
-
-    The chains are collected in one run per weight of their word. Each run
-    is sorted by word, descending, and the runs are joined in ascending
-    weight. That is the order of order.key: words of one weight are never
-    prefixes of one another, so between them descending tuple order is
-    ascending order of the negated letters.
-    """
+    order of the presentation the graph was built from."""
     if degree < 0:
         raise ValueError("negative degree")
     if degree == 0:
@@ -274,21 +253,13 @@ def enumerate_chains(graph, degree, order):
                 append(Chain(n, w, node, starts + (end - len(witness) + 1,),
                              ends + (end,)))
         chains = nxt
-    weight = order.weight
     word_of = attrgetter("word")
-    runs = defaultdict(list)
-    for c in chains:
-        runs[weight(c.word)].append(c)
-    out = []
-    for wt in sorted(runs):
-        run = runs[wt]
-        run.sort(key=word_of, reverse=True)
-        out += run
+    order.sort(chains, word_of)
     # a repeated word would sit next to its twin in its sorted run
-    words = list(map(word_of, out))
+    words = list(map(word_of, chains))
     assert not any(map(eq, words, words[1:])), \
         "chain words at one degree must be distinct"
-    return out
+    return chains
 
 
 def _occurrences(word, obstruction_set):

@@ -6,6 +6,7 @@ tuple is the unit word and prints as "1".
 """
 
 import re
+from collections import defaultdict
 from operator import neg
 
 from .errors import ZeroPolynomial
@@ -131,29 +132,40 @@ class MonomialOrder:
         are never prefixes of one another."""
         return (-self.weight(w), w)
 
+    def sort(self, items, word=None):
+        """Sort the list items in place, ascending by the key of their words,
+        where word(item) is the word of an item and the item itself by
+        default.
+
+        The items are collected in one run per weight. Each run is sorted by
+        word, descending, and the runs are joined in ascending weight. That
+        is the order of key: words of one weight are never prefixes of one
+        another, so between them descending tuple order is ascending order
+        of the negated letters.
+        """
+        words = items if word is None else map(word, items)
+        runs = defaultdict(list)
+        for item, wt in zip(items, map(self.weight, words)):
+            runs[wt].append(item)
+        items.clear()
+        for wt in sorted(runs):
+            run = runs.pop(wt)
+            run.sort(key=word, reverse=True)
+            items += run
+
 
 def words_up_to_weight(alphabet, order, max_weight):
-    """All words of weight <= max_weight, ascending by the order key.
-
-    The words are collected in one run per weight. Each run is sorted by
-    the words themselves, descending, and the runs are joined in ascending
-    weight. That is the order of key: words of one weight are never
-    prefixes of one another, so between them descending tuple order is
-    ascending order of the negated letters.
-    """
-    runs = [[] for _ in range(max(max_weight, 0) + 1)]
+    """All words of weight <= max_weight, ascending by the order key."""
+    out = []
     stack = [((), 0)]
     while stack:
         w, wt = stack.pop()
-        runs[wt].append(w)
+        out.append(w)
         for i, e in enumerate(order.weights):
             nwt = wt + e
             if nwt <= max_weight:
                 stack.append((w + (i,), nwt))
-    out = []
-    for run in runs:
-        run.sort(reverse=True)
-        out += run
+    order.sort(out)
     return out
 
 

@@ -7,6 +7,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (BoundExceeded, InvalidPresentation, ZeroPolynomial,
                      require_listable)
@@ -277,10 +278,14 @@ class RewriteSystem:
 
     def normal_words(self, max_length):
         """All normal words of length <= max_length, sorted by weight and
-        then alphabetically; BoundExceeded when they number more than
-        MAX_ITEMS."""
-        require_listable(sum(self.count_normal_words(max_length)),
-                         "normal words of length at most %d" % max_length)
+        then alphabetically. Before any listing, BoundExceeded names the
+        least n <= max_length with more than MAX_ITEMS normal words of
+        length at most n."""
+        if max_length < 0:
+            raise ValueError("max_length must be nonnegative")
+        counts = self.automaton().iter_counts(len(self.algebra.alphabet))
+        for n, total in zip(range(max_length + 1), accumulate(counts)):
+            require_listable(total, "normal words of length at most %d" % n)
         weight = self.algebra.order.weight
         out = self.automaton().language(max_length,
                                         len(self.algebra.alphabet))

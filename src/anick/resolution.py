@@ -64,26 +64,6 @@ class ModuleElement:
                                                       len(self.terms))
 
 
-def _leading_term(terms, keyf):
-    """The leading term of terms (nonempty), the one with the least keyf,
-    and that key; keyf is a descending key, so the least is the greatest
-    in the order.
-
-    Distinct basis terms must have distinct keys, that is distinct words
-    chain word + normal word; a tie at the top is a broken basis order.
-    """
-    best = best_key = None
-    tie = False
-    for t in terms:
-        k = keyf(t)
-        if best_key is None or k < best_key:
-            best, best_key, tie = t, k, False
-        elif k == best_key:
-            tie = True
-    assert not tie, "distinct basis terms share a word; basis order broken"
-    return best, best_key
-
-
 class _KeyMemo(dict):
     """term -> keyf(term), computed on first lookup."""
 
@@ -159,13 +139,13 @@ class ResolutionEngine:
     def chains(self, degree):
         """The chains of one degree, ascending; a term's position indexes
         this list. Enumerating them lists every lower degree on the way, so
-        BoundExceeded refuses, before any listing, a degree up to this one
-        with more chains than the cap."""
+        BoundExceeded refuses, before any listing, the first degree up to
+        this one with more chains than the cap."""
         cs = self._chains.get(degree)
         if cs is None:
-            counts = self.graph.chain_counts(degree)
-            top = max(range(degree + 1), key=counts.__getitem__)
-            require_listable(counts[top], "degree-%d chains" % top)
+            counts = self.graph.iter_chain_counts()
+            for n, count in zip(range(degree + 1), counts):
+                require_listable(count, "degree-%d chains" % n)
             cs = self._chains[degree] = enumerate_chains(self.graph, degree,
                                                          self.order)
         return cs
@@ -234,7 +214,8 @@ class ResolutionEngine:
     def _descending_key(self, degree):
         """term -> the descending key of its word, chain word + normal
         word, over the terms of one degree: the least sorts first and
-        leads."""
+        leads. No two terms of one degree share a word, since no chain
+        word of a degree is a proper prefix of another."""
         cs = self._basis_chains(degree)
         dk = self.order.descending_key
         return lambda term: dk(cs[term[0]].word + term[1])
@@ -244,8 +225,9 @@ class ResolutionEngine:
         chain word followed by the normal word of term."""
         if not elem.terms:
             raise ZeroElement("zero element has no leading term")
-        best, lk = _leading_term(elem.terms, self._descending_key(elem.degree))
-        return lk[1], best, elem.terms[best]
+        keyf = self._descending_key(elem.degree)
+        best = min(elem.terms, key=keyf)
+        return keyf(best)[1], best, elem.terms[best]
 
     # ---- scalars ----
 
@@ -398,7 +380,8 @@ class ResolutionEngine:
         prev_key = None
         guard = 0
         while work:
-            lead, lk = _leading_term(work, keyf)
+            lead = min(work, key=keyf)
+            lk = keyf(lead)
             lead_word = lk[1]
             coeff = work[lead]
             if prev_key is not None and not lk > prev_key:

@@ -3,8 +3,26 @@
 Words are tuples of letter indices. NormalWordAutomaton is the one
 multi-pattern matcher: normal forms, the lift, the chain graph, the
 ambiguity scan and the anti-chain checks all find pattern occurrences
-through it.
+through it. walk_counts counts both accepted words and chains.
 """
+
+from collections import defaultdict
+from itertools import islice, repeat
+
+
+def walk_counts(successors, start):
+    """The number of walks from start of each length 0, 1, 2, ..., lazily,
+    where successors[s] lists the targets of the edges out of s. Each
+    length steps the count of walks ending at each state along its edges,
+    so reading through length n costs n steps, whatever comes after."""
+    ends = {start: 1}
+    while True:
+        yield sum(ends.values())
+        nxt = defaultdict(int)
+        for s, k in ends.items():
+            for t in successors[s]:
+                nxt[t] += k
+        ends = nxt
 
 
 class NormalWordAutomaton:
@@ -14,7 +32,7 @@ class NormalWordAutomaton:
 
     Pattern indices follow the list; duplicated and empty patterns keep
     their own indices. A letter that no pattern uses leads back to the
-    root, so only language and counts need the alphabet size.
+    root, so only language and the counts need the alphabet size.
     """
 
     def __init__(self, patterns):
@@ -123,21 +141,14 @@ class NormalWordAutomaton:
 
     def counts(self, max_length, n_letters):
         """Number of accepted words over n_letters letters of each length
-        0..max_length, computed by stepping the count vector from the start
-        state along the transitions."""
+        0..max_length."""
+        return list(islice(self.iter_counts(n_letters), max_length + 1))
+
+    def iter_counts(self, n_letters):
+        """Number of accepted words over n_letters letters of each length
+        0, 1, 2, ..., lazily: the walks from the root through states where
+        no pattern ends."""
         if self.out[0]:
-            return [0] * (max_length + 1)
-        rows = self._live_rows(n_letters)
-        vec = [0] * len(rows)
-        vec[0] = 1
-        out = [1]
-        for _ in range(max_length):
-            nxt = [0] * len(rows)
-            for s, c in enumerate(vec):
-                if c:
-                    for t in rows[s]:
-                        if t >= 0:
-                            nxt[t] += c
-            vec = nxt
-            out.append(sum(vec))
-        return out
+            return repeat(0)
+        return walk_counts([[t for t in row if t >= 0]
+                            for row in self._live_rows(n_letters)], 0)

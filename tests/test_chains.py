@@ -1,6 +1,7 @@
 """Obstructions, the chain graph, and the two equivalent chain
 characterizations."""
 
+import collections
 import copy
 import itertools
 import pathlib
@@ -15,7 +16,7 @@ from anick import (Alphabet, Chain, MonomialOrder, ObstructionSet,
                    antichain_from_oim, bracket_prefix, bracket_tail,
                    build_chain_graph, complete, enumerate_chains,
                    enumerate_prechains, identity_chain, is_chain_top_down,
-                   is_prechain, obstructions, oim_from_antichain, split_chain,
+                   is_prechain, obstructions, oim_from_antichain,
                    words_up_to_weight)
 from test_wordops import is_antichain, ref_find_subword
 
@@ -227,14 +228,17 @@ def test_identity_chain():
 # ---- bracket decomposition ----
 
 def test_split_chain(running):
+    # the largest proper prefix of a chain and the tail word after it
     pres, _, graph = running
     ws = pres.algebra.word_str
     by_word = {ws(c.word): c
                for c in enumerate_chains(graph, 3, pres.algebra.order)}
-    prefix, tail = split_chain(by_word["xxxyx"])
+    c = by_word["xxxyx"]
+    prefix, tail = bracket_prefix(c, 2), bracket_tail(c, 2)
     assert ws(prefix.word) == "xxx" and prefix.degree == 2
     assert ws(tail) == "yx"
-    prefix, tail = split_chain(by_word["xxxx"])
+    c = by_word["xxxx"]
+    prefix, tail = bracket_prefix(c, 2), bracket_tail(c, 2)
     assert ws(prefix.word) == "xxx" and ws(tail) == "x"
 
 
@@ -252,7 +256,7 @@ def test_bracket_prefixes(running):
     with pytest.raises(ValueError):
         bracket_prefix(c, 4)
     with pytest.raises(ValueError):
-        split_chain(identity_chain())
+        bracket_prefix(identity_chain(), -1)
 
 
 def test_bracket_prefix_is_chain(running):
@@ -449,12 +453,17 @@ def test_same_degree_chain_words_are_prefix_free(system, degree):
 @settings(max_examples=100, deadline=None)
 @given(random_antichains())
 def test_chain_counts_match_enumeration(system):
+    # the one walk counter behind both: chains as paths in the chain
+    # graph, normal words as walks in the automaton
     n, words = system
     alphabet = Alphabet(["x", "y", "z"][:n])
-    graph = build_chain_graph(ObstructionSet(words), alphabet)
+    obs = ObstructionSet(words)
+    graph = build_chain_graph(obs, alphabet)
     order = MonomialOrder(alphabet)
     assert graph.chain_counts(6) == [len(enumerate_chains(graph, d, order))
                                      for d in range(7)]
+    lengths = collections.Counter(map(len, obs.automaton.language(6, n)))
+    assert obs.automaton.counts(6, n) == [lengths[k] for k in range(7)]
 
 
 def test_chain_counts_far_out():

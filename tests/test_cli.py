@@ -638,14 +638,21 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-# each listing is counted before it is built; without that, both commands
+# each listing is counted before it is built; without that, these commands
 # take all the memory there is, so they run in a child with a capped
-# address space
+# address space. Counting stops at the first degree or length over the
+# cap, so a huge bound is refused as fast as a small one.
 @pytest.mark.parametrize("argv, count, what", [
-    (["resolve", "s3_group.json", "--degree", "40"], 549755813889,
-     "degree-40 chains"),
-    (["normal-words", "commuting.json", "--max-length", "30"], 6557470319841,
-     "normal words of length at most 30"),
+    (["resolve", "s3_group.json", "--degree", "40"], 1048577,
+     "degree-21 chains"),
+    (["normal-words", "commuting.json", "--max-length", "30"], 1346268,
+     "normal words of length at most 14"),
+    (["resolve", "s3_group.json", "--degree", "100000"], 1048577,
+     "degree-21 chains"),
+    (["verify", "s3_group.json", "--degree", "100000"], 1048577,
+     "degree-21 chains"),
+    (["normal-words", "commuting.json", "--max-length", "100000"], 1346268,
+     "normal words of length at most 14"),
 ])
 def test_oversized_listings_exit_3(tmp_path, argv, count, what):
     (tmp_path / "commuting.json").write_text(json.dumps(

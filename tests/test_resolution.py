@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import anick
 from anick import (NonTermination, NotInKernel, Presentation, ResolutionEngine,
-                   ZeroElement)
+                   ZeroElement, bracket_prefix, bracket_tail)
 from anick.chains import prefix_length
 from anick.free_algebra import axpy
-from anick.resolution import ModuleElement, _leading_term
+from anick.resolution import ModuleElement
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
@@ -82,7 +82,7 @@ def test_differential_shape(running_engine):
             word, term, coeff = eng.module_lm(val)
             assert word == c.word
             assert coeff == eng.field.one
-            prefix, tail = anick.split_chain(c)
+            prefix, tail = bracket_prefix(c, n - 1), bracket_tail(c, n - 1)
             assert term == (eng.chains(n - 1).index(prefix), tail)
             ckey = eng.order.key(c.word)
             for t in val.terms:
@@ -378,18 +378,6 @@ def test_kernel_matches_reference(kernel_engines, name, data):
     c = eng.field(data.draw(st.sampled_from([1, -1, 2, -3, 3])))
     assert eng._act_into(dict(z.terms), broken, word, c) == \
         reference_act_into(eng, dict(z.terms), broken, word, c)
-
-
-def test_tied_leading_words_fail(running_engine):
-    # [x | y] and [xy | 1] are distinct terms with one word xy. Terms of
-    # one degree never tie, as chain words of one degree are never proper
-    # prefixes of each other, so the tie is fed to the scan directly: it
-    # must refuse the two keys rather than pick one
-    word = running_engine.algebra.word
-    words = {("x", "y"): word("xy"), ("xy", "1"): word("xy")}
-    dk = running_engine.order.descending_key
-    with pytest.raises(AssertionError, match="share a word"):
-        _leading_term(words, lambda t: dk(words[t]))
 
 
 def doctored_engine(presentation, chain_word, extra, degree=2):
