@@ -9,7 +9,7 @@ import json
 import sys
 import time
 
-from .errors import AnickError, BoundExceeded, NotGroebner
+from .errors import AnickError, BoundExceeded, NotGroebner, require_listable
 from .groebner import Presentation, RewriteSystem, check_groebner, complete
 from .resolution import ResolutionEngine
 
@@ -72,6 +72,8 @@ def _cmd_gb_complete(pres, args):
 
 def _cmd_normal_words(pres, args):
     eng = _engine(pres, args)
+    # the counts line has one entry per length, words or not
+    require_listable(args.max_length + 1, "normal-word counts")
     words = eng.rs.normal_words(args.max_length)
     counts = eng.rs.count_normal_words(args.max_length)
     ws = pres.algebra.word_str

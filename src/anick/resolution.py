@@ -91,8 +91,12 @@ class ResolutionEngine:
     chain bases of a verified minimal rewrite system.
 
     Differentials are cached one whole degree at a time, in ascending
-    degree order; the homotopy is recomputed on every call. Repeated runs
-    produce identical orderings and cache contents.
+    degree order. The lifts that build one degree share one step table:
+    each term's order key and lift step are worked out once per degree
+    build, and the table is dropped when the degree is built. The
+    homotopy is recomputed on every call, with a fresh table, so it
+    works out each key and step again. Repeated runs produce identical
+    orderings and cache contents.
     """
 
     def __init__(self, presentation, rewrite_system):
@@ -297,24 +301,28 @@ class ResolutionEngine:
         """d_n over chains(n), position by position, n >= 1; every missing
         degree up to n is built whole, ascending, so that building d_n only
         reads the differentials of lower degrees and the call depth stays
-        flat."""
+        flat. The lifts that build one degree share one step table, which
+        is dropped once that degree is built."""
         ds = self._d
         while len(ds) <= n:
-            ds.append([self._build_differential(c)
+            table = self._lift_table(len(ds) - 2)
+            ds.append([self._build_differential(c, table)
                        for c in self.chains(len(ds))])
         return ds[n]
 
-    def _build_differential(self, chain):
+    def _build_differential(self, chain, table):
         """d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
         into its (n-1)-chain prefix and tail word; for n = 1 the prefix is
         the empty 0-chain, d_0 is the augmentation and i_{-1} the unit.
+        table is the step table of degree n-2 that the lift fills.
         """
         n = chain.degree
         cut = prefix_length(chain, n - 1)
         lead = (self._position(n - 1)[chain.word[:cut]], chain.word[cut:])
         base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
         # a boundary by construction, so the lift skips the cycle check
-        result = base - self._lift(n - 2, self.apply_differential(base))
+        result = base - self._lift(n - 2, self.apply_differential(base),
+                                   table)
         ckey = self.order.descending_key(chain.word)
         keyf = self._descending_key(n - 1)
         assert result.terms.get(lead) == self.field.one, \
@@ -356,68 +364,87 @@ class ResolutionEngine:
             raise NotInKernel("element is not a d_%d cycle" % n)
         return self._lift(n, elem)
 
-    def _lift(self, n, elem):
+    def _lift_table(self, n):
+        """A fresh step table for lifts from degree n: term -> its
+        descending key, and term -> the out-term of the step that term
+        leads. Both depend only on n and the term."""
+        return _KeyMemo(self._descending_key(n)), {}
+
+    def _lift(self, n, elem, table=None):
         """i_n for n >= -1 on an element already known to be a cycle.
 
         i_{-1} is the unit, 1 -> [1 | 1]. Otherwise peels the leading
         term, the one with the least descending key (the greatest word
-        chain word + normal word), locates the obstruction completing it
-        to a degree n+1 chain (for n = 0 its first letter), and subtracts
-        that chain's image from the rest; the leading word strictly
-        decreases, so its descending key strictly increases, which is also
-        enforced as a guard, and every term of the result is emitted once.
+        chain word + normal word), emits the out-term of its step, and
+        subtracts that chain's image from the rest; the leading word
+        strictly decreases, so its descending key strictly increases,
+        which is also enforced as a guard, and every term of the result is
+        emitted once.
+
+        table is a _lift_table(n). Each term's key and step are worked out
+        once per table and reused by every lift through it, so the terms
+        of the results share the table's out-term tuples; without a table
+        the call makes a fresh one.
         """
         if n == -1:
             return ModuleElement(0, dict(elem.terms), self.p)
-        automaton = self.obstruction_set.automaton
-        lower = self.chains(n)
-        upper = self._position(n + 1)
+        keys, steps = self._lift_table(n) if table is None else table
+        keyf = keys.__getitem__
         d_upper = self._differentials(n + 1)
         out = {}
         work = dict(elem.terms)
-        # each term's key is computed once per call, not once per step
-        keyf = _KeyMemo(self._descending_key(n)).__getitem__
         prev_key = None
         guard = 0
         while work:
             lead = min(work, key=keyf)
             lk = keyf(lead)
-            lead_word = lk[1]
             coeff = work[lead]
             if prev_key is not None and not lk > prev_key:
                 raise NonTermination(
                     "leading word %s failed to decrease"
-                    % self.algebra.word_str(lead_word))
+                    % self.algebra.word_str(lk[1]))
             prev_key = lk
-            if n == 0:
-                end = 1  # the 1-chains are the letters
-            else:
-                chain = lower[lead[0]]
-                cut = prefix_length(chain, n - 1)
-                pos, idx = automaton.first_match(lead_word[cut:])
-                if pos < 0:
-                    raise NonTermination(
-                        "no obstruction occurrence in the reducible part of "
-                        "%s; input was outside the kernel"
-                        % self.algebra.word_str(lead_word))
-                start = cut + pos
-                end = start + automaton.lengths[idx]
-                if not (start < len(chain.word) < end):
-                    raise NonTermination(
-                        "obstruction occurrence in %s does not straddle the "
-                        "chain boundary" % self.algebra.word_str(lead_word))
-            j = upper.get(lead_word[:end])
-            if j is None:
-                raise NonTermination(
-                    "%s is not a degree-%d chain word"
-                    % (self.algebra.word_str(lead_word[:end]), n + 1))
-            tword = lead_word[end:]
-            out[(j, tword)] = coeff
+            step = steps.get(lead)
+            if step is None:
+                step = steps[lead] = self._lift_step(n, lead[0], lk[1])
+            out[step] = coeff
+            j, tword = step
             self._act_into(work, d_upper[j], tword, -coeff)
             guard += 1
             if guard > 100000:
                 raise NonTermination("iteration cap reached at degree %d" % n)
         return ModuleElement(n + 1, out, self.p)
+
+    def _lift_step(self, n, i, word):
+        """The out-term (j, tail) of the lift step led by the degree-n term
+        on chain i whose word is word: the first obstruction past the
+        (n-1)-chain prefix of chain i (for n = 0, the first letter) ends
+        the degree n+1 chain j, and the tail is the rest of word. Raises
+        NonTermination when there is no such chain."""
+        if n == 0:
+            end = 1  # the 1-chains are the letters
+        else:
+            automaton = self.obstruction_set.automaton
+            chain = self.chains(n)[i]
+            cut = prefix_length(chain, n - 1)
+            pos, idx = automaton.first_match(word[cut:])
+            if pos < 0:
+                raise NonTermination(
+                    "no obstruction occurrence in the reducible part of "
+                    "%s; input was outside the kernel"
+                    % self.algebra.word_str(word))
+            start = cut + pos
+            end = start + automaton.lengths[idx]
+            if not (start < len(chain.word) < end):
+                raise NonTermination(
+                    "obstruction occurrence in %s does not straddle the "
+                    "chain boundary" % self.algebra.word_str(word))
+        j = self._position(n + 1).get(word[:end])
+        if j is None:
+            raise NonTermination(
+                "%s is not a degree-%d chain word"
+                % (self.algebra.word_str(word[:end]), n + 1))
+        return (j, word[end:])
 
     # ---- reports ----
 

@@ -653,6 +653,8 @@ def _limit_memory():
      "degree-21 chains"),
     (["normal-words", "commuting.json", "--max-length", "100000"], 1346268,
      "normal words of length at most 14"),
+    (["normal-words", "s3_group.json", "--max-length", "1000000"], 1000001,
+     "normal-word counts"),
 ])
 def test_oversized_listings_exit_3(tmp_path, argv, count, what):
     (tmp_path / "commuting.json").write_text(json.dumps(

@@ -288,7 +288,7 @@ def reference_act(eng, elem, word):
 
 
 def reference_lift(eng, n, elem):
-    """i_n on a cycle: the term with the largest basis_key first."""
+    """i_n on a cycle, n >= 0: the term with the largest basis_key first."""
     automaton = eng.obstruction_set.automaton
     upper = {c.word: j for j, c in enumerate(eng.chains(n + 1))}
     out = {}
@@ -305,14 +305,17 @@ def reference_lift(eng, n, elem):
         if prev_key is not None and not lk < prev_key:
             raise NonTermination("leading word failed to decrease")
         prev_key = lk
-        cut = prefix_length(chain, n - 1)
-        pos, idx = automaton.first_match(lead_word[cut:])
-        if pos < 0:
-            raise NonTermination("no obstruction occurrence")
-        start = cut + pos
-        end = start + automaton.lengths[idx]
-        if not (start < len(cw) < end):
-            raise NonTermination("occurrence does not straddle")
+        if n == 0:
+            end = 1  # the 1-chains are the letters
+        else:
+            cut = prefix_length(chain, n - 1)
+            pos, idx = automaton.first_match(lead_word[cut:])
+            if pos < 0:
+                raise NonTermination("no obstruction occurrence")
+            start = cut + pos
+            end = start + automaton.lengths[idx]
+            if not (start < len(cw) < end):
+                raise NonTermination("occurrence does not straddle")
         j = upper.get(lead_word[:end])
         if j is None:
             raise NonTermination("not a chain word")
@@ -344,22 +347,29 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def random_cycle(eng, n, data):
+    """A random d_n cycle, built as in test_homotopy_random_kernel: a sum
+    of up to three differentials of degree n+1 chains, each acted on by a
+    normal word and scaled."""
+    normal = eng.rs.normal_words(3)
+    z = eng.zero(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.sampled_from(eng.chains(n + 1)))
+        w = data.draw(st.sampled_from(normal))
+        k = data.draw(st.integers(-2, 2))
+        z = z + reference_act(eng, eng.differential(c), w).scale(
+            eng.field(k))
+    return z
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(KERNEL_FILES), st.data())
 def test_kernel_matches_reference(kernel_engines, name, data):
     eng = kernel_engines[name]
     n = data.draw(st.sampled_from([k for k in (1, 2, 3)
                                    if eng.chains(k + 1)]))
-    upstairs = eng.chains(n + 1)
     normal = eng.rs.normal_words(3)
-    # a random cycle, built as in test_homotopy_random_kernel
-    z = eng.zero(n)
-    for _ in range(data.draw(st.integers(1, 3))):
-        c = data.draw(st.sampled_from(upstairs))
-        w = data.draw(st.sampled_from(normal))
-        k = data.draw(st.integers(-2, 2))
-        z = z + reference_act(eng, eng.differential(c), w).scale(
-            eng.field(k))
+    z = random_cycle(eng, n, data)
     assert outcome(eng._lift, n, z) == outcome(reference_lift, eng, n, z)
     # one more basis term makes it, in general, no cycle; both lifts must
     # then fail alike
@@ -378,6 +388,53 @@ def test_kernel_matches_reference(kernel_engines, name, data):
     c = eng.field(data.draw(st.sampled_from([1, -1, 2, -3, 3])))
     assert eng._act_into(dict(z.terms), broken, word, c) == \
         reference_act_into(eng, dict(z.terms), broken, word, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FILES), st.data())
+def test_shared_lift_table_matches_reference(kernel_engines, name, data):
+    # lifts through one table reuse the steps earlier lifts worked out, as
+    # the lifts of one degree build do; a failed lift in between must
+    # leave no step behind that a later lift would reuse
+    eng = kernel_engines[name]
+    n = data.draw(st.sampled_from([k for k in (1, 2, 3)
+                                   if eng.chains(k + 1)]))
+    table = eng._lift_table(n)
+    cycles = [random_cycle(eng, n, data)
+              for _ in range(data.draw(st.integers(2, 3)))]
+    broken = cycles[0] + eng.element(
+        n, [(data.draw(st.sampled_from(eng.chains(n))),
+             data.draw(st.sampled_from(eng.rs.normal_words(3))), 1)])
+    for k, z in enumerate(cycles):
+        assert eng._lift(n, z, table) == reference_lift(eng, n, z)
+        if k == 0 and eng.apply_differential(broken):
+            got = outcome(eng._lift, n, broken, table)
+            assert isinstance(got, type)
+            assert got is outcome(reference_lift, eng, n, broken)
+    for (i, w), (j, tword) in table[1].items():
+        assert eng.chains(n + 1)[j].word + tword == eng.chains(n)[i].word + w
+
+
+@pytest.mark.parametrize("name", KERNEL_FILES)
+def test_degree_builds_match_reference(kernel_engines, name):
+    # every differential of a degree, built whole through one shared step
+    # table, against p (x) t - i_{n-2}(d_{n-1}(p) t) with the reference
+    # lift; the lower differentials it reads were checked the same way
+    eng = kernel_engines[name]
+    for n in range(1, 6):
+        for chain in eng.chains(n):
+            cut = prefix_length(chain, n - 1)
+            base = eng.basis_element(n - 1, chain.word[:cut],
+                                     chain.word[cut:])
+            if n == 1:
+                # i_{-1} is the unit and d_0 the augmentation
+                lifted = ModuleElement(
+                    0, dict(eng.apply_differential(base).terms), eng.p)
+            else:
+                prefix = eng.chain_with_word(n - 1, chain.word[:cut])
+                lifted = reference_lift(eng, n - 2, reference_act(
+                    eng, eng.differential(prefix), chain.word[cut:]))
+            assert eng.differential(chain) == base - lifted
 
 
 def doctored_engine(presentation, chain_word, extra, degree=2):
