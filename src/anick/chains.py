@@ -101,6 +101,7 @@ class Chain:
     obstruction span, the empty root for degree 0 and the letter itself
     for degree 1. starts/ends hold the 1-indexed obstruction spans (n-1
     of them for degree n >= 2); the last span always ends at len(word).
+    d_n of the chain leads with [(n-1)-prefix | node].
     """
 
     degree: int
@@ -303,61 +304,38 @@ def is_prechain(word, n, obstruction_set):
     return any(b == len(word) for _, b in levels[n - 2])
 
 
-def _full_placements(occs, n, length):
-    """All (starts, ends) n-tuples with the last span ending the word."""
-    out = []
-
-    def rec(chosen):
-        m = len(chosen)
-        if m == n:
-            if chosen[-1][1] == length:
-                out.append((tuple(a for a, _ in chosen),
-                            tuple(b for _, b in chosen)))
-            return
-        prev_prev = chosen[-2][1] if m >= 2 else 1
-        prev = chosen[-1][1]
-        for a, b in occs:
-            if prev_prev < a <= prev and b > prev:
-                rec(chosen + [(a, b)])
-
-    for a, b in occs:
-        if a == 1:
-            rec([(a, b)])
-    return out
-
-
 def is_chain_top_down(word, n, obstruction_set):
     """Validate the chain property of a degree-n word over an
     ObstructionSet directly from the definition, without the graph.
 
-    Returns the unique (starts, ends) obstruction placement when word is
-    an n-chain (empty tuples for n <= 1), else None. A placement
-    qualifies when no obstruction span could have ended earlier, i.e. no
-    proper prefix is a prechain of the same intermediate degree.
+    Returns the (starts, ends) obstruction placement when word is an
+    n-chain (empty tuples for n <= 1), else None. No span of a chain
+    could have ended earlier, so span m ends at the least end that level
+    m of is_prechain's level walk reaches, and starts where the one
+    occurrence ending there does; the spans must then meet the prechain
+    inequalities, and the last one must end the word.
     """
     if n < 0:
         raise ValueError("chain degree must be nonnegative")
     word = tuple(word)
     if n <= 1:
         return ((), ()) if len(word) == n else None
-    k = n - 1
     occs = _occurrences(word, obstruction_set)
-    if not occs:
+    # in an anti-chain no two occurrences end at one position
+    start_of = {b: a for a, b in occs}
+    starts, ends = [], [0, 1]  # sentinels: span 1 starts at 1, span 2 past 1
+    for level in _placement_pairs(occs, n - 1):
+        if not level:
+            return None
+        end = min(b for _, b in level)
+        start = start_of[end]
+        if not ends[-2] < start <= ends[-1] < end:
+            return None
+        starts.append(start)
+        ends.append(end)
+    if ends[-1] != len(word):
         return None
-    placements = _full_placements(occs, k, len(word))
-    if not placements:
-        return None
-    levels = _placement_pairs(occs, k)
-    # earliest possible prechain end at each level; the chain condition
-    # forces each placement end to be exactly this minimum
-    min_end = [min((b for _, b in lv), default=None) for lv in levels]
-    valid = []
-    for starts, ends in placements:
-        if all(min_end[m] is not None and ends[m] <= min_end[m]
-               for m in range(k)):
-            valid.append((starts, ends))
-    assert len(valid) <= 1, "chain placements must be unique"
-    return valid[0] if valid else None
+    return tuple(starts), tuple(ends[2:])
 
 
 def enumerate_prechains(obstruction_set, n):

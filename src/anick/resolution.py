@@ -4,8 +4,7 @@ the resolution, and the contracting homotopy that defines them."""
 import time
 from dataclasses import dataclass
 
-from .chains import (ChainGraph, enumerate_chains, identity_chain,
-                     obstructions, prefix_length)
+from .chains import ChainGraph, enumerate_chains, identity_chain, obstructions
 from .errors import (NonTermination, NotGroebner, NotInKernel, ZeroElement,
                      require_listable)
 from .free_algebra import axpy, format_signed_sum
@@ -88,7 +87,8 @@ class DegreeReport:
 
 class ResolutionEngine:
     """Computes differentials d_n and contracting homotopies i_n over the
-    chain bases of a verified minimal rewrite system.
+    chain bases of a verified minimal rewrite system. Each lift step
+    follows one edge of the chain graph, the edges enumerate_chains walks.
 
     Differentials are cached one whole degree at a time, in ascending
     degree order. The lifts that build one degree share one step table:
@@ -312,13 +312,14 @@ class ResolutionEngine:
 
     def _build_differential(self, chain, table):
         """d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
-        into its (n-1)-chain prefix and tail word; for n = 1 the prefix is
-        the empty 0-chain, d_0 is the augmentation and i_{-1} the unit.
+        into its (n-1)-chain prefix and its node, the last node of its path
+        in the chain graph; for n = 1 the prefix is the empty 0-chain, the
+        node the letter, d_0 is the augmentation and i_{-1} the unit.
         table is the step table of degree n-2 that the lift fills.
         """
         n = chain.degree
-        cut = prefix_length(chain, n - 1)
-        lead = (self._position(n - 1)[chain.word[:cut]], chain.word[cut:])
+        cut = len(chain.word) - len(chain.node)
+        lead = (self._position(n - 1)[chain.word[:cut]], chain.node)
         base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
         # a boundary by construction, so the lift skips the cycle check
         result = base - self._lift(n - 2, self.apply_differential(base),
@@ -375,11 +376,11 @@ class ResolutionEngine:
 
         i_{-1} is the unit, 1 -> [1 | 1]. Otherwise peels the leading
         term, the one with the least descending key (the greatest word
-        chain word + normal word), emits the out-term of its step, and
-        subtracts that chain's image from the rest; the leading word
-        strictly decreases, so its descending key strictly increases,
-        which is also enforced as a guard, and every term of the result is
-        emitted once.
+        chain word + normal word), emits the out-term of its step along
+        the chain graph, and subtracts that chain's image from the rest;
+        the leading word strictly decreases, so its descending key
+        strictly increases, which is also enforced as a guard, and every
+        term of the result is emitted once.
 
         table is a _lift_table(n). Each term's key and step are worked out
         once per table and reused by every lift through it, so the terms
@@ -406,7 +407,7 @@ class ResolutionEngine:
             prev_key = lk
             step = steps.get(lead)
             if step is None:
-                step = steps[lead] = self._lift_step(n, lead[0], lk[1])
+                step = steps[lead] = self._lift_step(n, lead)
             out[step] = coeff
             j, tword = step
             self._act_into(work, d_upper[j], tword, -coeff)
@@ -415,36 +416,22 @@ class ResolutionEngine:
                 raise NonTermination("iteration cap reached at degree %d" % n)
         return ModuleElement(n + 1, out, self.p)
 
-    def _lift_step(self, n, i, word):
+    def _lift_step(self, n, term):
         """The out-term (j, tail) of the lift step led by the degree-n term
-        on chain i whose word is word: the first obstruction past the
-        (n-1)-chain prefix of chain i (for n = 0, the first letter) ends
-        the degree n+1 chain j, and the tail is the rest of word. Raises
-        NonTermination when there is no such chain."""
-        if n == 0:
-            end = 1  # the 1-chains are the letters
-        else:
-            automaton = self.obstruction_set.automaton
-            chain = self.chains(n)[i]
-            cut = prefix_length(chain, n - 1)
-            pos, idx = automaton.first_match(word[cut:])
-            if pos < 0:
-                raise NonTermination(
-                    "no obstruction occurrence in the reducible part of "
-                    "%s; input was outside the kernel"
-                    % self.algebra.word_str(word))
-            start = cut + pos
-            end = start + automaton.lengths[idx]
-            if not (start < len(chain.word) < end):
-                raise NonTermination(
-                    "obstruction occurrence in %s does not straddle the "
-                    "chain boundary" % self.algebra.word_str(word))
-        j = self._position(n + 1).get(word[:end])
-        if j is None:
-            raise NonTermination(
-                "%s is not a degree-%d chain word"
-                % (self.algebra.word_str(word[:end]), n + 1))
-        return (j, word[end:])
+        (i, w): the out-edge of chain i's node in the chain graph whose
+        target t starts w, an edge enumerate_chains walks, extends chain i
+        to the degree n+1 chain j, and the tail is the rest of w; for n = 0
+        it is the root's edge to the first letter. At most one edge fits: a
+        target starting another would put an obstruction inside the
+        other's node + target. Raises NonTermination when none fits."""
+        i, w = term
+        chain = self.chains(n)[i]
+        for t, _ in self.graph.edges[chain.node]:
+            if w[:len(t)] == t:
+                return self._position(n + 1)[chain.word + t], w[len(t):]
+        raise NonTermination(
+            "no obstruction occurrence in the reducible part of %s; input "
+            "was outside the kernel" % self.algebra.word_str(chain.word + w))
 
     # ---- reports ----
 

@@ -1,9 +1,9 @@
 """Subword matching.
 
 Words are tuples of letter indices. NormalWordAutomaton is the one
-multi-pattern matcher: normal forms, the lift, the chain graph, the
-ambiguity scan and the anti-chain checks all find pattern occurrences
-through it. walk_counts counts both accepted words and chains.
+multi-pattern matcher: normal forms, the chain graph (which the lift
+walks), the ambiguity scan and the anti-chain checks all find pattern
+occurrences through it. walk_counts counts both accepted words and chains.
 """
 
 from collections import defaultdict

@@ -5,6 +5,7 @@ import collections
 import copy
 import itertools
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,19 @@ def test_top_down_placements(running):
         (0, 0), 2, ObstructionSet([(0, 0), (0, 0)])) == ((1,), (2,))
     with pytest.raises(anick.NotAnAntichain):
         is_chain_top_down((0, 0, 1), 2, ObstructionSet([(0, 0), (0, 0, 1)]))
+
+
+def test_top_down_is_polynomial_in_the_degree():
+    # xxx over one letter has one chain per degree, but its words hold
+    # exponentially many full placements of the spans; the top-down check
+    # reads the one placement off the level walk instead of listing them
+    x = Alphabet(["x"])
+    graph = build_chain_graph(ObstructionSet([(0, 0, 0)]), x)
+    (c,) = enumerate_chains(graph, 40, MonomialOrder(x))
+    t0 = time.perf_counter()
+    placed = is_chain_top_down(c.word, 40, graph.obstructions)
+    assert time.perf_counter() - t0 < 1.0
+    assert placed == (c.starts, c.ends)
 
 
 def test_definitions_agree_small(running):

@@ -287,10 +287,35 @@ def reference_act(eng, elem, word):
                          eng.p)
 
 
+def reference_step(eng, n, i, w):
+    """The out-term (j, tail) of the lift step led by the degree-n term
+    (i, w), found with the obstruction automaton: the first occurrence
+    past the (n-1)-chain prefix of chain i must straddle the chain
+    boundary, and the word up to its end is the degree n+1 chain j; for
+    n = 0 that chain is the first letter."""
+    chain = eng.chains(n)[i]
+    word = chain.word + w
+    if n == 0:
+        end = 1  # the 1-chains are the letters
+    else:
+        automaton = eng.obstruction_set.automaton
+        cut = prefix_length(chain, n - 1)
+        pos, idx = automaton.first_match(word[cut:])
+        if pos < 0:
+            raise NonTermination("no obstruction occurrence")
+        start = cut + pos
+        end = start + automaton.lengths[idx]
+        if not (start < len(chain.word) < end):
+            raise NonTermination("occurrence does not straddle")
+    upper = {c.word: j for j, c in enumerate(eng.chains(n + 1))}
+    j = upper.get(word[:end])
+    if j is None:
+        raise NonTermination("not a chain word")
+    return j, word[end:]
+
+
 def reference_lift(eng, n, elem):
     """i_n on a cycle, n >= 0: the term with the largest basis_key first."""
-    automaton = eng.obstruction_set.automaton
-    upper = {c.word: j for j, c in enumerate(eng.chains(n + 1))}
     out = {}
     work = dict(elem.terms)
     prev_key = None
@@ -298,28 +323,11 @@ def reference_lift(eng, n, elem):
     while work:
         (i, w), lk = reference_leading_term(
             work, lambda t: eng.basis_key(n, t))
-        chain = eng.chains(n)[i]
-        cw = chain.word
-        lead_word = cw + w
         coeff = work[(i, w)]
         if prev_key is not None and not lk < prev_key:
             raise NonTermination("leading word failed to decrease")
         prev_key = lk
-        if n == 0:
-            end = 1  # the 1-chains are the letters
-        else:
-            cut = prefix_length(chain, n - 1)
-            pos, idx = automaton.first_match(lead_word[cut:])
-            if pos < 0:
-                raise NonTermination("no obstruction occurrence")
-            start = cut + pos
-            end = start + automaton.lengths[idx]
-            if not (start < len(cw) < end):
-                raise NonTermination("occurrence does not straddle")
-        j = upper.get(lead_word[:end])
-        if j is None:
-            raise NonTermination("not a chain word")
-        tword = lead_word[end:]
+        j, tword = reference_step(eng, n, i, w)
         out[(j, tword)] = coeff
         reference_act_into(eng, work, eng.differential(eng.chains(n + 1)[j]),
                            tword, -coeff)
@@ -360,6 +368,20 @@ def random_cycle(eng, n, data):
         z = z + reference_act(eng, eng.differential(c), w).scale(
             eng.field(k))
     return z
+
+
+@pytest.mark.parametrize("name", KERNEL_FILES)
+def test_lift_steps_match_reference(kernel_engines, name):
+    # every step a lift from degrees 0..4 can take on a normal word of
+    # length <= 3, along the chain graph against the automaton rule; the
+    # steps outside the kernel must fail alike
+    eng = kernel_engines[name]
+    normal = eng.rs.normal_words(3)
+    for n in range(5):
+        for i in range(len(eng.chains(n))):
+            for w in normal:
+                assert outcome(eng._lift_step, n, (i, w)) == \
+                    outcome(reference_step, eng, n, i, w)
 
 
 @settings(max_examples=120, deadline=None)
