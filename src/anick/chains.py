@@ -153,31 +153,25 @@ class ChainGraph:
     Nodes: the root (empty word), the letters, and every proper suffix of
     an obstruction. Edge s -> t exists when st contains exactly one
     obstruction occurrence and that occurrence is a suffix of st; the
-    occurrence is stored as the edge witness.
+    occurrence is stored as the edge witness. No node holds one, so the
+    targets are the rests of the overlaps of s, sorted as the nodes are.
     """
 
     def __init__(self, obstruction_set, alphabet):
         self.obstructions = obstruction_set
         self.alphabet = alphabet
+        automaton = obstruction_set.automaton
         obs = obstruction_set.words
-        all_matches = obstruction_set.automaton.all_matches
         nodes = {(i,) for i in range(len(alphabet))}
-        for w in obs:
-            for k in range(1, len(w)):
-                nodes.add(w[k:])
+        nodes.update(w[k:] for w in obs for k in range(1, len(w)))
         ordered = [()] + sorted(nodes, key=lambda w: (len(w), w))
         self.nodes = tuple(ordered)
         edges = {(): tuple(((i,), None) for i in range(len(alphabet)))}
         for s in ordered[1:]:
-            targets = []
-            for t in ordered[1:]:
-                st = s + t
-                ms = all_matches(st)
-                if len(ms) == 1:
-                    pos, k = ms[0]
-                    if pos + len(obs[k]) == len(st):
-                        targets.append((t, obs[k]))
-            edges[s] = tuple(targets)
+            edges[s] = tuple(sorted(
+                ((t, obs[k]) for _, k, t in automaton.overlaps(s)
+                 if len(automaton.all_matches(s + t)) == 1),
+                key=lambda edge: (len(edge[0]), edge[0])))
         self.edges = edges
 
     def chain_counts(self, degree):
@@ -339,29 +333,16 @@ def is_chain_top_down(word, n, obstruction_set):
 
 
 def enumerate_prechains(obstruction_set, n):
-    """Degree-n prechain words of an ObstructionSet, generated by
-    overlapping concatenation of its obstructions rather than by scanning
-    all words. Superset of the degree-n chain words. Needs n >= 2; lower
-    degrees do not involve obstructions at all."""
+    """Degree-n prechain words of an ObstructionSet: a level walk over
+    (word, node) states, node the part of word past the previous span,
+    stepping over each overlap of the node to (word + rest, rest).
+    Superset of the degree-n chain words. Needs n >= 2; lower degrees do
+    not involve obstructions at all."""
     if n < 2:
         raise ValueError("prechain generation needs degree >= 2")
-    k = n - 1
-    obs = obstruction_set.words
-    out = set()
-
-    def rec(word, prev_b, cur_b, m):
-        if m == k:
-            out.add(word)
-            return
-        for s in obs:
-            ls = len(s)
-            for a in range(prev_b + 1, cur_b + 1):
-                shared = cur_b - a + 1
-                if shared >= ls:
-                    continue
-                if word[a - 1:] == s[:shared]:
-                    rec(word + s[shared:], cur_b, cur_b + ls - shared, m + 1)
-
-    for s in obs:
-        rec(tuple(s), 1, len(s), 1)
-    return out
+    overlaps = obstruction_set.automaton.overlaps
+    level = {(o, o[1:]) for o in obstruction_set.words}
+    for _ in range(n - 2):
+        level = {(word + t, t) for word, node in level
+                 for _, _, t in overlaps(node)}
+    return {word for word, _ in level}

@@ -321,33 +321,28 @@ def overlaps(rs):
 
 def _ambiguities(rs, max_weight, new=None):
     """The overlaps of rs whose word weighs at most max_weight, sorted as
-    overlaps() sorts them. A pair is skipped by weight before its word is
-    built; the key (weight, word, i, j, offset_i) names each one once.
+    overlaps() sorts them: the matches of each leading word t, and the
+    overlaps of t past its first letter, skipped by weight before their
+    word is built. The key (weight, word, i, j, offset_i) names each once.
 
     With new, a set of rule indices, only the overlaps of which one rule
     or both are in new: the others are those of the other rules alone.
     """
     lms = rs.leading_words
     weight = rs.algebra.order.weight
-    matches = rs.automaton().all_matches
+    automaton = rs.automaton()
     wts = [weight(t) for t in lms]
-    everyone = range(len(lms))
     if new is None:
-        new = everyone
+        new = range(len(lms))
     out = [Overlap(i, j, t, p)
            for j, t in enumerate(lms) if wts[j] <= max_weight
-           for p, i in matches(t) if i != j and (i in new or j in new)]
-    for j, t in enumerate(lms):
-        partners = everyone if j in new else new
-        for k in range(1, len(t)):
-            shared = len(t) - k
-            # t + s[shared:] weighs wts[j] + wts[i] - weight(t[k:])
-            room = max_weight - wts[j] + weight(t[k:])
-            for i in partners:
-                s = lms[i]
-                if (wts[i] <= room and shared < len(s)
-                        and t[k:] == s[:shared]):
-                    out.append(Overlap(i, j, t + s[shared:], k))
+           for p, i in automaton.all_matches(t)
+           if i != j and (i in new or j in new)]
+    out += [Overlap(i, j, t + rest, pos)
+            for j, t in enumerate(lms)
+            for pos, i, rest in automaton.overlaps(t)
+            if pos and (i in new or j in new)
+            and wts[j] + weight(rest) <= max_weight]
     out.sort(key=lambda ov: (weight(ov.word), ov.word, ov.i, ov.j, ov.offset_i))
     return out
 

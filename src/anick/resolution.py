@@ -301,21 +301,22 @@ class ResolutionEngine:
         """d_n over chains(n), position by position, n >= 1; every missing
         degree up to n is built whole, ascending, so that building d_n only
         reads the differentials of lower degrees and the call depth stays
-        flat. The lifts that build one degree share one step table, which
-        is dropped once that degree is built."""
+        flat. Building one degree shares one step table and one key memo,
+        both dropped once that degree is built."""
         ds = self._d
         while len(ds) <= n:
             table = self._lift_table(len(ds) - 2)
-            ds.append([self._build_differential(c, table)
+            keys = _KeyMemo(self._descending_key(len(ds) - 1))
+            ds.append([self._build_differential(c, table, keys)
                        for c in self.chains(len(ds))])
         return ds[n]
 
-    def _build_differential(self, chain, table):
+    def _build_differential(self, chain, table, keys):
         """d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
         into its (n-1)-chain prefix and its node, the last node of its path
         in the chain graph; for n = 1 the prefix is the empty 0-chain, the
         node the letter, d_0 is the augmentation and i_{-1} the unit.
-        table is the step table of degree n-2 that the lift fills.
+        table and keys: the degree's lift step table and tail key memo.
         """
         n = chain.degree
         cut = len(chain.word) - len(chain.node)
@@ -325,11 +326,10 @@ class ResolutionEngine:
         result = base - self._lift(n - 2, self.apply_differential(base),
                                    table)
         ckey = self.order.descending_key(chain.word)
-        keyf = self._descending_key(n - 1)
         assert result.terms.get(lead) == self.field.one, \
             "leading coefficient drifted"
         for t in result.terms:
-            assert t == lead or keyf(t) > ckey, \
+            assert t == lead or keys[t] > ckey, \
                 "differential tail must sit below the chain word"
         return result
 

@@ -3,7 +3,9 @@
 Words are tuples of letter indices. NormalWordAutomaton is the one
 multi-pattern matcher: normal forms, the chain graph (which the lift
 walks), the ambiguity scan and the anti-chain checks all find pattern
-occurrences through it. walk_counts counts both accepted words and chains.
+occurrences through it. It also finds the overlaps of a word with the
+patterns, the one rule behind the ambiguities, the chain-graph edges and
+the prechains. walk_counts counts both accepted words and chains.
 """
 
 from collections import defaultdict
@@ -41,31 +43,39 @@ class NormalWordAutomaton:
         self.longest = max(self.lengths, default=0)
         children = [{}]
         ends = [[]]
+        through = [[]]  # (pattern, depth of s) for patterns going past s
         for k, pat in enumerate(self.patterns):
             s = 0
-            for a in pat:
+            for d, a in enumerate(pat):
+                through[s].append((k, d))
                 t = children[s].get(a)
                 if t is None:
                     t = children[s][a] = len(children)
                     children.append({})
                     ends.append([])
+                    through.append([])
                 s = t
             ends[s].append(k)
         # goto[s] holds only the transitions not back to the root; out[s]
-        # lists, sorted, the patterns ending at s or along its fail links.
+        # lists, sorted, the patterns ending at s or along its fail links;
+        # fail[s] is the longest proper suffix of s that is a state.
         # Breadth-first order completes each fail target before its use.
         goto = [children[0]] + [None] * (len(children) - 1)
         out = [tuple(ends[0])] + [None] * (len(children) - 1)
+        fail = [0] * len(children)
         queue = [(t, 0) for t in children[0].values()]
-        for s, fail in queue:
-            row = dict(goto[fail])
+        for s, f in queue:
+            fail[s] = f
+            row = dict(goto[f])
             row.update(children[s])
             goto[s] = row
-            out[s] = tuple(sorted(ends[s] + list(out[fail])))
-            queue.extend((t, goto[fail].get(a, 0))
+            out[s] = tuple(sorted(ends[s] + list(out[f])))
+            queue.extend((t, goto[f].get(a, 0))
                          for a, t in children[s].items())
         self.goto = goto
         self.out = out
+        self.fail = fail
+        self.through = through
 
     def first_match(self, w):
         """Leftmost occurrence in w as (pos, pattern_index), ties toward the
@@ -101,6 +111,20 @@ class NormalWordAutomaton:
             for k in out[s]:
                 found.append((j - lengths[k], k))
         found.sort()
+        return found
+
+    def overlaps(self, w):
+        """Every (pos, k, rest) with w[pos:] + rest == patterns[k], both
+        parts nonempty. The state w leads to is its longest suffix that
+        starts a pattern, and its fail links lead to the shorter ones."""
+        s = 0
+        for a in w:
+            s = self.goto[s].get(a, 0)
+        found = []
+        while s:
+            found += [(len(w) - d, k, self.patterns[k][d:])
+                      for k, d in self.through[s]]
+            s = self.fail[s]
         return found
 
     def accepts(self, w):

@@ -447,6 +447,86 @@ def test_weight_runs_sort_by_key(system, data):
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+# ---- the overlap rule against the loops it replaced ----
+
+def reference_edges(obs, nodes):
+    """Edge s -> t, with its witness, for every pair of non-root nodes
+    where st holds exactly one occurrence and that one is a suffix."""
+    edges = {}
+    for s in nodes[1:]:
+        targets = []
+        for t in nodes[1:]:
+            ms = obs.automaton.all_matches(s + t)
+            if len(ms) == 1:
+                pos, k = ms[0]
+                if pos + len(obs.words[k]) == len(s + t):
+                    targets.append((t, obs.words[k]))
+        edges[s] = tuple(targets)
+    return edges
+
+
+def reference_prechains(obs, n):
+    """Degree-n prechain words by recursion over every placement: the
+    next obstruction starts past the previous span's end, within the
+    current span, and ends past it."""
+    out = set()
+
+    def rec(word, prev_b, cur_b, m):
+        if m == n - 1:
+            out.add(word)
+            return
+        for s in obs.words:
+            for a in range(prev_b + 1, cur_b + 1):
+                shared = cur_b - a + 1
+                if shared < len(s) and word[a - 1:] == s[:shared]:
+                    rec(word + s[shared:], cur_b, cur_b + len(s) - shared,
+                        m + 1)
+
+    for s in obs.words:
+        rec(s, 1, len(s), 1)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_antichains())
+def test_graph_edges_match_reference(system):
+    n, words = system
+    obs = ObstructionSet(words)
+    graph = build_chain_graph(obs, Alphabet(["x", "y", "z"][:n]))
+    edges = reference_edges(obs, graph.nodes)
+    assert {s: es for s, es in graph.edges.items() if s} == edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_antichains(), st.integers(2, 6))
+def test_prechains_match_reference(system, degree):
+    _, words = system
+    obs = ObstructionSet(words)
+    assert enumerate_prechains(obs, degree) == reference_prechains(obs, degree)
+
+
+def test_prechains_are_polynomial_in_the_degree():
+    # xxx has exponentially many placements of its 59 spans in degree 60,
+    # but only 30 prechain words: a span adds one letter or two, and one
+    # that adds one is followed by one that adds two
+    obs = ObstructionSet([(0, 0, 0)])
+    t0 = time.perf_counter()
+    words = enumerate_prechains(obs, 60)
+    assert time.perf_counter() - t0 < 1.0
+    assert sorted(map(len, words)) == list(range(90, 120))
+
+
+def test_long_relation_builds_quickly():
+    # one relation x^399 y: 401 graph nodes, each asking the automaton for
+    # its overlaps instead of matching every pair of nodes
+    pres = Presentation.from_json({"generators": ["x", "y"],
+                                   "relations": ["x*" * 399 + "y"]})
+    t0 = time.perf_counter()
+    eng = ResolutionEngine.from_presentation(pres)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(eng.graph.nodes) == 401
+
+
 # ---- what resolution terms keyed by chain position rely on ----
 
 @settings(max_examples=100, deadline=None)

@@ -17,6 +17,7 @@ from anick import (Alphabet, BoundExceeded, FreeAlgebra, InvalidPresentation,
                    check_groebner, complete, leading_monomials_oracle,
                    overlaps, words_up_to_weight)
 from anick.free_algebra import axpy
+from anick.groebner import Overlap, _ambiguities
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
@@ -445,6 +446,46 @@ def random_systems(draw, max_terms=4, fields=FIELDS):
         if p:
             relations.append(p)
     return algebra, draw(st.permutations(relations))
+
+
+def reference_ambiguities(rs, max_weight, new):
+    """The ambiguities of weight <= max_weight of which rule i or rule j
+    is in new, by a loop over every pair of leading words: containments of
+    i in j, and proper overlaps where a suffix of j starts i."""
+    lms = rs.leading_words
+    weight = rs.algebra.order.weight
+    out = []
+    for j, t in enumerate(lms):
+        for i, s in enumerate(lms):
+            if i not in new and j not in new:
+                continue
+            if i != j and weight(t) <= max_weight:
+                out += [Overlap(i, j, t, p)
+                        for p in range(len(t) - len(s) + 1)
+                        if t[p:p + len(s)] == s]
+            for k in range(1, len(t)):
+                shared = len(t) - k
+                word = t + s[shared:]
+                if (shared < len(s) and t[k:] == s[:shared]
+                        and weight(word) <= max_weight):
+                    out.append(Overlap(i, j, word, k))
+    return sorted(out, key=lambda ov: (weight(ov.word), ov.word, ov.i, ov.j,
+                                       ov.offset_i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems(max_terms=2), st.data())
+def test_ambiguities_match_reference(system, data):
+    algebra, relations = system
+    # the rules as given: duplicate and nested leading words included
+    rs = RewriteSystem(algebra, relations)
+    n = len(rs.leading_words)
+    new = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    max_weight = data.draw(st.integers(0, 12))
+    assert _ambiguities(rs, max_weight, new) == \
+        reference_ambiguities(rs, max_weight, new)
+    assert _ambiguities(rs, max_weight) == \
+        reference_ambiguities(rs, max_weight, range(n))
 
 
 def _completion(fn, algebra, relations, bound):

@@ -1,6 +1,7 @@
 """The subword matchers agree with a brute-force slicing reference."""
 
 import random
+import tracemalloc
 
 from anick import NormalWordAutomaton
 
@@ -17,6 +18,14 @@ def ref_find_subword(w, u):
                  if w[i:i + len(u)] == u), None)
 
 
+def ref_overlaps(w, patterns):
+    """Every (pos, k, rest) with w[pos:] + rest == patterns[k], both parts
+    nonempty, sorted."""
+    return sorted((pos, k, u[len(w) - pos:]) for k, u in enumerate(patterns)
+                  for pos in range(len(w))
+                  if len(w) - pos < len(u) and u[:len(w) - pos] == w[pos:])
+
+
 def is_antichain(words):
     """No word of words occurs inside another one."""
     return all(ref_find_subword(w, u) is None
@@ -29,6 +38,7 @@ def check_against_reference(w, pats):
     assert aut.first_match(w) == (occ[0] if occ else (-1, -1))
     assert aut.all_matches(w) == occ
     assert aut.accepts(w) == (not occ)
+    assert sorted(aut.overlaps(w)) == ref_overlaps(w, pats)
     assert aut.nested_pairs() == [
         (i, j) for i, u in enumerate(pats) for j, v in enumerate(pats)
         if i != j and ref_find_subword(v, u) is not None]
@@ -61,6 +71,31 @@ def test_all_matches_basics():
     assert h((0, 4, 0, 0), pats) == [(2, 0)]
     pats = ((0, 1), (1,))
     assert h((0, 1, 1), pats) == [(0, 0), (1, 1), (2, 1)]
+
+
+def test_overlaps_basics():
+    aut = NormalWordAutomaton(((0, 0, 0), (1, 0, 2), (0, 0, 1, 0)))
+    assert sorted(aut.overlaps((0, 0))) == [
+        (0, 0, (0,)), (0, 2, (1, 0)), (1, 0, (0, 0)), (1, 2, (0, 1, 0))]
+    # a whole pattern is no overlap: the rest would be empty
+    assert aut.overlaps((1, 0, 2)) == []
+    assert aut.overlaps(()) == []
+    assert aut.overlaps((2, 1)) == [(1, 1, (0, 2))]
+
+
+def test_overlaps_of_a_long_pattern_allocate_little():
+    # the automaton lists the patterns through each trie state, one entry
+    # per pattern letter, and keeps no table keyed by pattern prefixes
+    pattern = (0,) * 3999 + (1,)
+    tracemalloc.start()
+    try:
+        aut = NormalWordAutomaton([pattern])
+        assert aut.overlaps((0, 0)) == [(0, 0, pattern[2:]),
+                                        (1, 0, pattern[1:])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_is_normal_basics():

@@ -33,7 +33,8 @@ MATRIX = {
     "normal-words": [["--max-length", n] for n in ("-1", "0", "4", "30")]
     + [["--complete", "--max-length", "4"]],
     "obstructions": [[], ["--complete"]],
-    "chain-graph": [[], ["--dot", "{dot}"], ["--complete", "--dot", "{dot}"]],
+    "chain-graph": [[], ["--dot", "{dot}"], ["--complete", "--dot", "{dot}"],
+                    ["--complete", "--max-degree", "8"]],
     "chains": _DEGREES + [["--complete", "--degree", "3"]],
     "resolve": _DEGREES + [["--degree", "3", "--show-homotopy"],
                            ["--complete", "--degree", "3"], _LIFT_FAILURE],
