@@ -1,5 +1,5 @@
 """Obstruction anti-chains, the order-ideal/anti-chain correspondence,
-the chain graph, and chain enumeration with placement tuples."""
+the chain graph, and chain enumeration along its paths."""
 
 from dataclasses import dataclass
 from itertools import islice
@@ -99,51 +99,43 @@ class Chain:
     degree is n and word the chain word. node is the last node of the
     chain's path in the chain graph: the part of word after the previous
     obstruction span, the empty root for degree 0 and the letter itself
-    for degree 1. starts/ends hold the 1-indexed obstruction spans (n-1
-    of them for degree n >= 2); the last span always ends at len(word).
-    d_n of the chain leads with [(n-1)-prefix | node].
+    for degree 1. d_n of the chain leads with [(n-1)-prefix | node]. The
+    obstruction spans are not stored: is_chain_top_down reads them off
+    the word.
     """
 
     degree: int
     word: tuple
     node: tuple
-    starts: tuple
-    ends: tuple
 
 
 def identity_chain():
-    return Chain(0, (), (), (), ())
+    return Chain(0, (), ())
 
 
-def prefix_length(chain, m):
-    """Length of the word of the m-chain prefix of a chain of degree >= m."""
-    if m == 0:
-        return 0
-    if m == 1:
-        return 1
-    return chain.ends[m - 2]
-
-
-def bracket_prefix(chain, m):
-    """The m-chain prefix of a chain of degree >= m."""
+def prefix_length(chain, m, obstruction_set):
+    """Length of the word of the m-chain prefix of a chain of degree >= m:
+    0, 1, or the end of the chain's obstruction span m - 1, read off
+    is_chain_top_down."""
     n = chain.degree
     if not 0 <= m <= n:
         raise ValueError("no %d-chain prefix of a degree-%d chain" % (m, n))
-    if m == n:
-        return chain
-    if m == 0:
-        return identity_chain()
-    start, end = prefix_length(chain, m - 1), prefix_length(chain, m)
-    return Chain(m, chain.word[:end], chain.word[start:end],
-                 chain.starts[:m - 1], chain.ends[:m - 1])
+    placed = is_chain_top_down(chain.word, n, obstruction_set)
+    if placed is None:
+        raise ValueError("%r is not a degree-%d chain" % (chain.word, n))
+    return ((0, 1) + placed[1])[m]
 
 
-def bracket_tail(chain, m):
+def bracket_prefix(chain, m, obstruction_set):
+    """The m-chain prefix of a chain of degree >= m."""
+    end = prefix_length(chain, m, obstruction_set)
+    start = prefix_length(chain, m - 1, obstruction_set) if m else 0
+    return Chain(m, chain.word[:end], chain.word[start:end])
+
+
+def bracket_tail(chain, m, obstruction_set):
     """The leftover word after the m-chain prefix."""
-    if not 0 <= m <= chain.degree:
-        raise ValueError("no index-%d tail of a degree-%d chain"
-                         % (m, chain.degree))
-    return chain.word[prefix_length(chain, m):]
+    return chain.word[prefix_length(chain, m, obstruction_set):]
 
 
 class ChainGraph:
@@ -201,23 +193,16 @@ class ChainGraph:
     def to_dot(self):
         """GraphViz text of the nodes reachable from the root and the
         edges between them."""
-        keep = self.reachable()
+        seen = self.reachable()
+        keep = [v for v in self.nodes if v in seen]
         label = self.alphabet.word_str
         lines = ["digraph chain_graph {"]
-        for v in self.nodes:
-            if v in keep:
-                lines.append('  "%s";' % label(v))
-        for v in self.nodes:
-            if v not in keep:
-                continue
+        lines += ['  "%s";' % label(v) for v in keep]
+        # every target of a reachable node is reachable
+        for v in keep:
             for t, wit in self.edges[v]:
-                if t not in keep:
-                    continue
-                if wit is None:
-                    lines.append('  "%s" -> "%s";' % (label(v), label(t)))
-                else:
-                    lines.append('  "%s" -> "%s" [label="%s"];'
-                                 % (label(v), label(t), label(wit)))
+                attr = "" if wit is None else ' [label="%s"]' % label(wit)
+                lines.append('  "%s" -> "%s"%s;' % (label(v), label(t), attr))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -226,35 +211,34 @@ def build_chain_graph(obstruction_set, alphabet):
     return ChainGraph(obstruction_set, alphabet)
 
 
-def enumerate_chains(graph, degree, order):
-    """All chains of the given degree, ascending by order, the monomial
-    order of the presentation the graph was built from."""
+def enumerate_chains(graph, degree, order, below=None):
+    """The chains of the given degree, ascending by order, the monomial
+    order of the presentation the graph was built from: the paths of that
+    length from the root, or all extensions of below, chains of a single
+    lower degree. A walk over (word, node) pairs, where the edge node -> t
+    extends word by t; only its last step builds Chain records."""
     if degree < 0:
         raise ValueError("negative degree")
-    if degree == 0:
-        return [identity_chain()]
+    if below is None:
+        below = [identity_chain()]
+        if degree == 0:
+            return below
     edges = graph.edges
-    chains = [Chain(1, node, node, (), ()) for node, _ in edges[()]]
-    # the last span of a chain ends its word, so the new span ends the
-    # extended word and starts where the edge witness does
-    for n in range(2, degree + 1):
-        nxt = []
-        append = nxt.append
-        for c in chains:
-            word, starts, ends = c.word, c.starts, c.ends
-            for node, witness in edges.get(c.node, ()):
-                w = word + node
-                end = len(w)
-                append(Chain(n, w, node, starts + (end - len(witness) + 1,),
-                             ends + (end,)))
-        chains = nxt
+    level = [(c.word, c.node) for c in below]
+    # no chain extends an empty list, so it takes one step to no chains
+    m = below[0].degree if below else degree - 1
+    for _ in range(degree - m - 1):
+        level = [(word + t, t) for word, node in level
+                 for t, _ in edges[node]]
+    out = [Chain(degree, word + t, t) for word, node in level
+           for t, _ in edges[node]]
     word_of = attrgetter("word")
-    order.sort(chains, word_of)
+    order.sort(out, word_of)
     # a repeated word would sit next to its twin in its sorted run
-    words = list(map(word_of, chains))
+    words = list(map(word_of, out))
     assert not any(map(eq, words, words[1:])), \
         "chain words at one degree must be distinct"
-    return chains
+    return out
 
 
 def _occurrences(word, obstruction_set):

@@ -1,7 +1,6 @@
 """Rewriting with a set of relations: normal forms, overlap analysis,
 bounded completion, and normal-word enumeration and counting."""
 
-import hashlib
 import json
 import math
 from collections import namedtuple
@@ -83,6 +82,7 @@ class Presentation:
         }
 
     def digest(self):
+        import hashlib  # loaded only for the one caller, json output
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

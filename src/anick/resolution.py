@@ -108,7 +108,9 @@ class ResolutionEngine:
         self.p = self.field.characteristic
         self.obstruction_set = obstructions(rewrite_system)
         self.graph = ChainGraph(self.obstruction_set, self.algebra.alphabet)
-        self._chains = {}
+        self._chains = {0: [identity_chain()]}  # degree -> chains(degree)
+        self._counts = []  # chain counts of degrees 0, 1, ... read so far
+        self._walks = self.graph.iter_chain_counts()
         # degree -> {chain word: position in chains(degree)}; the empty
         # word names k's one term in degree -1
         self._positions = {-1: {(): 0}}
@@ -142,17 +144,31 @@ class ResolutionEngine:
 
     def chains(self, degree):
         """The chains of one degree, ascending; a term's position indexes
-        this list. Enumerating them lists every lower degree on the way, so
-        BoundExceeded refuses, before any listing, the first degree up to
-        this one with more chains than the cap."""
+        this list. Only the degrees asked for are cached; each grows from
+        the highest one cached below, once _require_listable passes."""
+        if degree < 0:
+            raise ValueError("negative degree")
         cs = self._chains.get(degree)
         if cs is None:
-            counts = self.graph.iter_chain_counts()
-            for n, count in zip(range(degree + 1), counts):
-                require_listable(count, "degree-%d chains" % n)
-            cs = self._chains[degree] = enumerate_chains(self.graph, degree,
-                                                         self.order)
+            self._require_listable(degree)
+            below = degree - 1
+            while below not in self._chains:
+                below -= 1
+            cs = self._chains[degree] = enumerate_chains(
+                self.graph, degree, self.order, self._chains[below])
         return cs
+
+    def _require_listable(self, degree):
+        """Raise BoundExceeded, before any listing, for the first degree up
+        to this one with more chains than the cap. One lazy counter serves
+        every call, and no degree past one over the cap is counted."""
+        counts = self._counts
+        while len(counts) <= degree:
+            if counts:
+                require_listable(counts[-1],
+                                 "degree-%d chains" % (len(counts) - 1))
+            counts.append(next(self._walks))
+        require_listable(counts[degree], "degree-%d chains" % degree)
 
     def _position(self, degree):
         """{chain word: position in chains(degree)} over one degree."""
@@ -439,7 +455,7 @@ class ResolutionEngine:
         """Check d_{n-1} d_n = 0 on every basis chain up to max_degree."""
         if max_degree < 1:
             raise ValueError("nothing to verify below degree 1")
-        self.chains(max_degree)  # refuses an oversized degree up front
+        self._require_listable(max_degree)
         rows = []
         for n in range(1, max_degree + 1):
             t0 = time.perf_counter()
@@ -465,7 +481,7 @@ class ResolutionEngine:
         """
         if max_degree < 1:
             raise ValueError("nothing to diagnose below degree 1")
-        self.chains(max_degree)  # refuses an oversized degree up front
+        self._require_listable(max_degree)
         word_eval = self.presentation.word_eval
         out = {}
         for n in range(1, max_degree + 1):

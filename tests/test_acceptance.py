@@ -140,13 +140,19 @@ def test_criterion_06_definitions_match():
             if is_antichain(sub):
                 antichains.append(sub)
 
+        def node_after_spans(word, placed):
+            # the word past the next-to-last end of 0, 1 and the span ends
+            return word[((0, 1) + placed[1])[-2]:]
+
         def definitions_agree(alphabet, obs_words, long_candidates):
             obs = anick.ObstructionSet(obs_words)
             graph = anick.build_chain_graph(obs, alphabet)
             order = anick.MonomialOrder(alphabet)
             n_letters = len(alphabet)
             for d in range(6):
-                graph_side = {c.word: (c.starts, c.ends)
+                # each chain's node, against the part of its word past the
+                # previous span of the top-down placement
+                graph_side = {c.word: c.node
                               for c in anick.enumerate_chains(graph, d, order)}
                 scan_side = {}
                 # chain words are short on two letters; elsewhere scan the
@@ -158,13 +164,13 @@ def test_criterion_06_definitions_match():
                     for w in itertools.product(range(n_letters), repeat=L):
                         placed = anick.is_chain_top_down(w, d, obs)
                         if placed is not None:
-                            scan_side[w] = placed
+                            scan_side[w] = node_after_spans(w, placed)
                 if long_candidates and d >= 2:
                     for w in anick.enumerate_prechains(obs, d):
                         if len(w) > exhaustive_to:
                             placed = anick.is_chain_top_down(w, d, obs)
                             if placed is not None:
-                                scan_side[w] = placed
+                                scan_side[w] = node_after_spans(w, placed)
                 assert graph_side == scan_side, (obs_words, d)
 
         for sub in antichains:

@@ -3,6 +3,7 @@ characterizations."""
 
 import collections
 import copy
+import dataclasses
 import itertools
 import pathlib
 import time
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anick
-from anick import (Alphabet, Chain, MonomialOrder, ObstructionSet,
-                   Presentation, ResolutionEngine, RewriteSystem,
-                   antichain_from_oim, bracket_prefix, bracket_tail,
-                   build_chain_graph, complete, enumerate_chains,
+from anick import (Alphabet, Chain, FreeAlgebra, MonomialOrder,
+                   ObstructionSet, Presentation, ResolutionEngine,
+                   RewriteSystem, antichain_from_oim, bracket_prefix,
+                   bracket_tail, build_chain_graph, complete, enumerate_chains,
                    enumerate_prechains, identity_chain, is_chain_top_down,
                    is_prechain, obstructions, oim_from_antichain,
                    words_up_to_weight)
@@ -196,22 +197,21 @@ def test_chains_sorted_ascending(running):
 
 
 def test_chain_structure(running):
-    pres, _, graph = running
+    pres, obs, graph = running
     ws = pres.algebra.word_str
     order = pres.algebra.order
     by_word = {ws(c.word): c for c in enumerate_chains(graph, 3, order)}
     c = by_word["xxyxz"]
     assert c.degree == 3
     assert c.node == (2,)
-    assert c.starts == (1, 3)
-    assert c.ends == (4, 5)
+    assert is_chain_top_down(c.word, 3, obs) == ((1, 3), (4, 5))
     # the node is the word after the previous span, spans are obstruction
     # occurrences, and the last span ends the word
     for c in enumerate_chains(graph, 4, order):
-        prev_end = c.ends[-2]
-        assert c.word[prev_end:] == c.node
-        assert c.ends[-1] == len(c.word)
-        for a, b in zip(c.starts, c.ends):
+        starts, ends = is_chain_top_down(c.word, 4, obs)
+        assert c.word[ends[-2]:] == c.node
+        assert ends[-1] == len(c.word)
+        for a, b in zip(starts, ends):
             assert c.word[a - 1:b] in {w for w in graph.obstructions.words}
 
 
@@ -223,41 +223,46 @@ def test_chain_has_no_dict():
 def test_identity_chain():
     c = identity_chain()
     assert c.degree == 0 and c.word == () and c.node == ()
-    assert c.starts == () and c.ends == ()
+    # the spans are not stored: is_chain_top_down reads them off the word
+    assert [f.name for f in dataclasses.fields(Chain)] == \
+        ["degree", "word", "node"]
 
 
 # ---- bracket decomposition ----
 
 def test_split_chain(running):
     # the largest proper prefix of a chain and the tail word after it
-    pres, _, graph = running
+    pres, obs, graph = running
     ws = pres.algebra.word_str
     by_word = {ws(c.word): c
                for c in enumerate_chains(graph, 3, pres.algebra.order)}
     c = by_word["xxxyx"]
-    prefix, tail = bracket_prefix(c, 2), bracket_tail(c, 2)
+    prefix, tail = bracket_prefix(c, 2, obs), bracket_tail(c, 2, obs)
     assert ws(prefix.word) == "xxx" and prefix.degree == 2
     assert ws(tail) == "yx"
     c = by_word["xxxx"]
-    prefix, tail = bracket_prefix(c, 2), bracket_tail(c, 2)
+    prefix, tail = bracket_prefix(c, 2, obs), bracket_tail(c, 2, obs)
     assert ws(prefix.word) == "xxx" and ws(tail) == "x"
 
 
 def test_bracket_prefixes(running):
-    pres, _, graph = running
+    pres, obs, graph = running
     ws = pres.algebra.word_str
     c = {ws(ch.word): ch for ch in enumerate_chains(
         graph, 3, pres.algebra.order)}["xxyxz"]
-    assert ws(bracket_prefix(c, 1).word) == "x"
-    assert ws(bracket_tail(c, 1)) == "xyxz"
-    assert bracket_prefix(c, 0) == identity_chain()
-    assert ws(bracket_tail(c, 0)) == "xxyxz"
-    assert bracket_prefix(c, 3) is c
-    assert bracket_tail(c, 3) == ()
+    assert ws(bracket_prefix(c, 1, obs).word) == "x"
+    assert ws(bracket_tail(c, 1, obs)) == "xyxz"
+    assert bracket_prefix(c, 0, obs) == identity_chain()
+    assert ws(bracket_tail(c, 0, obs)) == "xxyxz"
+    assert bracket_prefix(c, 3, obs) == c
+    assert bracket_tail(c, 3, obs) == ()
     with pytest.raises(ValueError):
-        bracket_prefix(c, 4)
+        bracket_prefix(c, 4, obs)
     with pytest.raises(ValueError):
-        bracket_prefix(identity_chain(), -1)
+        bracket_prefix(identity_chain(), -1, obs)
+    # a record whose word is not a chain of its degree has no spans
+    with pytest.raises(ValueError, match="not a degree-3 chain"):
+        bracket_prefix(Chain(3, c.word + (0,), c.node + (0,)), 2, obs)
 
 
 def test_bracket_prefix_is_chain(running):
@@ -267,9 +272,13 @@ def test_bracket_prefix_is_chain(running):
     by_word = [{c.word: c for c in enumerate_chains(graph, m, order)}
                for m in range(5)]
     for c in enumerate_chains(graph, 4, order):
+        starts, ends = is_chain_top_down(c.word, 4, obs)
         for m in range(5):
-            sub = bracket_prefix(c, m)
-            assert is_chain_top_down(sub.word, m, obs) == (sub.starts, sub.ends)
+            sub = bracket_prefix(c, m, obs)
+            # the prefix's spans are the first m - 1 spans of the chain
+            k = max(m - 1, 0)
+            assert is_chain_top_down(sub.word, m, obs) == (starts[:k],
+                                                            ends[:k])
             assert sub == by_word[m][sub.word]
 
 
@@ -322,13 +331,19 @@ def test_top_down_is_polynomial_in_the_degree():
     t0 = time.perf_counter()
     placed = is_chain_top_down(c.word, 40, graph.obstructions)
     assert time.perf_counter() - t0 < 1.0
-    assert placed == (c.starts, c.ends)
+    # span m ends the m+1-chain, the one chain of that degree, and an
+    # occurrence of xxx starts two letters before its end
+    ends = tuple(len(enumerate_chains(graph, m, MonomialOrder(x))[0].word)
+                 for m in range(2, 41))
+    assert placed == (tuple(e - 2 for e in ends), ends)
 
 
 def test_definitions_agree_small(running):
     pres, obs, graph = running
     for n in range(5):
-        graph_side = {c.word: (c.starts, c.ends)
+        # each chain's node, against the part of its word past the
+        # previous span of the top-down placement
+        graph_side = {c.word: c.node
                       for c in enumerate_chains(graph, n, pres.algebra.order)
                       if len(c.word) <= 5}
         scan_side = {}
@@ -336,7 +351,7 @@ def test_definitions_agree_small(running):
             for w in itertools.product(range(3), repeat=length):
                 placed = is_chain_top_down(w, n, obs)
                 if placed is not None:
-                    scan_side[w] = placed
+                    scan_side[w] = w[((0, 1) + placed[1])[-2]:]
         assert graph_side == scan_side
 
 
@@ -558,6 +573,31 @@ def test_chain_counts_match_enumeration(system):
                                      for d in range(7)]
     lengths = collections.Counter(map(len, obs.automaton.language(6, n)))
     assert obs.automaton.counts(6, n) == [lengths[k] for k in range(7)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_antichains(), st.data())
+def test_engine_chains_grow_from_the_degree_below(system, data):
+    # the engine grows each degree from the highest one it holds below;
+    # asked in any order, it lists what a walk from the root lists, and
+    # holds only the degrees asked for. A monomial system is confluent,
+    # and its leading words are any anti-chain.
+    n, words = system
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    weights = data.draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (1, 2, 1)]))
+    order = MonomialOrder(alphabet, weights[:n])
+    algebra = FreeAlgebra(alphabet, order, anick.QQ)
+    eng = ResolutionEngine.from_presentation(
+        Presentation(algebra, [algebra.poly({w: 1}) for w in words]))
+    graph, obs = eng.graph, eng.obstruction_set
+    asked = data.draw(st.permutations(range(7)))
+    for k, degree in enumerate(asked):
+        chains = eng.chains(degree)
+        assert chains == enumerate_chains(graph, degree, order)
+        assert len(chains) == graph.chain_counts(degree)[degree]
+        for c in chains:
+            assert is_chain_top_down(c.word, degree, obs) is not None
+        assert set(eng._chains) == {0, *asked[:k + 1]}
 
 
 def test_chain_counts_far_out():

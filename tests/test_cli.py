@@ -638,6 +638,26 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
+def _timed_main(*argv):
+    """Run cli.main on argv in a child with a capped address space; return
+    the child, its stdout lines before the last, and the seconds main took,
+    interpreter start-up excluded."""
+    script = ("import sys, time\n"
+              "from anick.cli import main\n"
+              "t0 = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print('took %f' % (time.perf_counter() - t0))\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=_limit_memory)
+    *lines, took = proc.stdout.splitlines()
+    label, seconds = took.split()
+    assert label == "took"
+    return proc, lines, float(seconds)
+
+
 # each listing is counted before it is built; without that, these commands
 # take all the memory there is, so they run in a child with a capped
 # address space. Counting stops at the first degree or length over the
@@ -662,19 +682,35 @@ def test_oversized_listings_exit_3(tmp_path, argv, count, what):
     command, name, *rest = argv
     path = tmp_path / name if name == "commuting.json" else \
         ROOT / "presentations" / name
-    script = ("import sys, time\n"
-              "from anick.cli import main\n"
-              "t0 = time.perf_counter()\n"
-              "code = main(sys.argv[1:])\n"
-              "print('took %f' % (time.perf_counter() - t0))\n"
-              "sys.exit(code)\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script, command, str(path),
-                           *rest], capture_output=True, text=True, env=env,
-                          timeout=60, preexec_fn=_limit_memory)
+    proc, lines, took = _timed_main(command, path, *rest)
     assert proc.returncode == 3
     assert proc.stderr == "error: %d %s exceed the cap of %d items\n" % (
         count, what, MAX_ITEMS)
-    took = proc.stdout.split()
-    assert took[0] == "took" and len(took) == 2
-    assert float(took[1]) < 1.0
+    assert lines == []
+    assert took < 1.0
+
+
+# each degree's chains grow from the degree below, and the listing guard
+# reads one count per degree once, so a complex with few chains per degree
+# (two on monomial.json, none above degree 4 on poly4.json) verifies in
+# time about linear in the degree
+@pytest.mark.parametrize("name, degree", [("monomial.json", 1000),
+                                          ("poly4.json", 4000)])
+def test_verify_is_fast_at_high_degrees(name, degree):
+    proc, lines, took = _timed_main("verify", ROOT / "presentations" / name,
+                                    "--degree", degree)
+    assert proc.returncode == 0
+    assert len(lines) == degree + 1
+    assert lines[-1] == "verified: degrees 1..%d" % degree
+    assert took < 1.0
+
+
+def test_import_leaves_hashlib_out():
+    # only json output digests the presentation, so hashlib loads there;
+    # -S keeps site-packages start-up hooks out of the count
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, anick, anick.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "False\n"
