@@ -169,11 +169,11 @@ def words_up_to_weight(alphabet, order, max_weight):
     return out
 
 
-def axpy(acc, items, c=1, p=0):
+def axpy(acc, items, c, p):
     """acc += c * items, in place: add c times each (key, coeff) pair of
     items into the dict acc, dropping keys whose coefficient becomes zero.
-    A nonzero p is the characteristic of GF(p): each stored value is
-    reduced into range(p), so its scalars stay plain ints.
+    p is the characteristic, without a default: over GF(p) each stored
+    value is reduced into range(p), so its scalars stay plain ints.
 
     The coefficients in items must be nonzero (mod p). Returns acc.
     """

@@ -91,9 +91,10 @@ class ResolutionEngine:
     follows one edge of the chain graph, the edges enumerate_chains walks.
 
     Differentials are cached one whole degree at a time, in ascending
-    degree order. The lifts that build one degree share one step table:
-    each term's order key and lift step are worked out once per degree
-    build, and the table is dropped when the degree is built. The
+    degree order. The lifts that build one degree share one step table
+    and no other memo: each term's order key and lift step are worked out
+    once per degree build, the same keys check each tail against its
+    chain word, and the table is dropped when the degree is built. The
     homotopy is recomputed on every call, with a fresh table, so it
     works out each key and step again. Repeated runs produce identical
     orderings and cache contents.
@@ -317,22 +318,22 @@ class ResolutionEngine:
         """d_n over chains(n), position by position, n >= 1; every missing
         degree up to n is built whole, ascending, so that building d_n only
         reads the differentials of lower degrees and the call depth stays
-        flat. Building one degree shares one step table and one key memo,
-        both dropped once that degree is built."""
+        flat. Building one degree shares one step table, dropped once that
+        degree is built."""
         ds = self._d
         while len(ds) <= n:
             table = self._lift_table(len(ds) - 2)
-            keys = _KeyMemo(self._descending_key(len(ds) - 1))
-            ds.append([self._build_differential(c, table, keys)
+            ds.append([self._build_differential(c, table)
                        for c in self.chains(len(ds))])
         return ds[n]
 
-    def _build_differential(self, chain, table, keys):
+    def _build_differential(self, chain, table):
         """d_n(c) = p (x) t - i_{n-2}(d_{n-1}(p (x) t)), where p (x) t splits c
         into its (n-1)-chain prefix and its node, the last node of its path
         in the chain graph; for n = 1 the prefix is the empty 0-chain, the
         node the letter, d_0 is the augmentation and i_{-1} the unit.
-        table and keys: the degree's lift step table and tail key memo.
+        table is the degree's lift step table. A tail term not below the
+        chain word fails the lift's decrease guard, started at that word.
         """
         n = chain.degree
         cut = len(chain.word) - len(chain.node)
@@ -340,13 +341,10 @@ class ResolutionEngine:
         base = ModuleElement(n - 1, {lead: self.field.one}, self.p)
         # a boundary by construction, so the lift skips the cycle check
         result = base - self._lift(n - 2, self.apply_differential(base),
-                                   table)
-        ckey = self.order.descending_key(chain.word)
+                                   table,
+                                   self.order.descending_key(chain.word))
         assert result.terms.get(lead) == self.field.one, \
             "leading coefficient drifted"
-        for t in result.terms:
-            assert t == lead or keys[t] > ckey, \
-                "differential tail must sit below the chain word"
         return result
 
     def apply_differential(self, elem):
@@ -387,7 +385,7 @@ class ResolutionEngine:
         leads. Both depend only on n and the term."""
         return _KeyMemo(self._descending_key(n)), {}
 
-    def _lift(self, n, elem, table=None):
+    def _lift(self, n, elem, table=None, prev_key=None):
         """i_n for n >= -1 on an element already known to be a cycle.
 
         i_{-1} is the unit, 1 -> [1 | 1]. Otherwise peels the leading
@@ -396,7 +394,8 @@ class ResolutionEngine:
         the chain graph, and subtracts that chain's image from the rest;
         the leading word strictly decreases, so its descending key
         strictly increases, which is also enforced as a guard, and every
-        term of the result is emitted once.
+        term of the result is emitted once, with the word of its lead, so a
+        prev_key the first lead must exceed bounds every word of the result.
 
         table is a _lift_table(n). Each term's key and step are worked out
         once per table and reused by every lift through it, so the terms
@@ -410,7 +409,6 @@ class ResolutionEngine:
         d_upper = self._differentials(n + 1)
         out = {}
         work = dict(elem.terms)
-        prev_key = None
         guard = 0
         while work:
             lead = min(work, key=keyf)

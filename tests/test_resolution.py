@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anick
-from anick import (NonTermination, NotInKernel, Presentation, ResolutionEngine,
-                   ZeroElement, bracket_prefix, bracket_tail)
+from anick import (BoundExceeded, NonTermination, NotInKernel, Presentation,
+                   ResolutionEngine, ZeroElement, bracket_prefix, bracket_tail,
+                   enumerate_chains, identity_chain, is_chain_top_down)
 from anick.chains import prefix_length
+from anick.errors import MAX_ITEMS, require_listable
 from anick.free_algebra import axpy
 from anick.resolution import ModuleElement
 
@@ -484,6 +486,21 @@ def test_lift_guards(running_presentation):
         eng._lift(1, eng.basis_element(1, "x", "x"))
 
 
+def test_degree_build_guards_the_tail(running_presentation):
+    # d_2(yxz)·xxyyx is a boundary, so the doctored d_2(xxx) stays a cycle,
+    # but d_3(xxxx) would then lead with yxzxxyyxx, above the chain word
+    eng = ResolutionEngine.from_presentation(running_presentation)
+    chain = eng.chain_with_word(2, eng.algebra.word("xxx"))
+    i = eng.chains(2).index(chain)
+    boundary = eng.act(eng.differential(
+        eng.chain_with_word(2, eng.algebra.word("yxz"))),
+        eng.algebra.word("xxyyx"))
+    eng._differentials(2)[i] = eng.differential(chain) + boundary
+    with pytest.raises(NonTermination,
+                       match="leading word yxzxxyyxx failed to decrease"):
+        eng.differential(eng.chain_with_word(3, eng.algebra.word("xxxx")))
+
+
 # ---- determinism ----
 
 def test_two_engines_agree(running_presentation):
@@ -509,6 +526,38 @@ def test_reports_need_degree_one(running_engine):
         running_engine.verify_complex(0)
     with pytest.raises(ValueError, match="below degree 1"):
         running_engine.minimality_diagnostic(-2)
+
+
+# case -> (exception, message pattern, call on the running engine)
+LIBRARY_ERRORS = {
+    "chains(-1)": (ValueError, "negative degree", lambda eng: eng.chains(-1)),
+    "enumerate_chains(-1)": (ValueError, "negative degree",
+                             lambda eng: enumerate_chains(eng.graph, -1,
+                                                          eng.order)),
+    "is_chain_top_down(-1)": (ValueError, "nonnegative",
+                              lambda eng: is_chain_top_down(
+                                  eng.algebra.word("xxx"), -1,
+                                  eng.obstruction_set)),
+    "sum across degrees": (ValueError, "degree mismatch 1 vs 2",
+                           lambda eng: eng.basis_element(1, "x")
+                           + eng.basis_element(2, "xxx")),
+    "homotopy of another degree": (ValueError, "degree mismatch",
+                                   lambda eng: eng.homotopy(
+                                       1, eng.basis_element(2, "xxx"))),
+    "differential of the identity chain": (
+        ValueError, "below degree 1",
+        lambda eng: eng.differential(identity_chain())),
+    "listing over the cap": (BoundExceeded, "exceed the cap",
+                             lambda eng: require_listable(MAX_ITEMS + 1,
+                                                          "items")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_ERRORS))
+def test_library_errors(running_engine, case):
+    exc, pattern, call = LIBRARY_ERRORS[case]
+    with pytest.raises(exc, match=pattern):
+        call(running_engine)
 
 
 def test_homotopy_needs_degree_zero(running_engine):

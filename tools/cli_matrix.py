@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 120
 
 # subcommand -> the option lists it runs with, each in text and json
-_DEGREES = [["--degree", d] for d in ("0", "1", "3", "6", "40")]
+_DEGREES = [["--degree", d] for d in ("0", "1", "3", "6", "12", "40")]
 # completion cut at a weight too low for the lift: on xyz.json the lift
 # finds no obstruction occurrence and the command exits 4
 _LIFT_FAILURE = ["--complete", "--max-degree", "5", "--degree", "4"]
