@@ -1,7 +1,6 @@
 """Obstruction anti-chains, the order-ideal/anti-chain correspondence,
 the chain graph, and chain enumeration along its paths."""
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter, eq
 
@@ -92,7 +91,6 @@ def antichain_from_oim(poset, oim):
     return frozenset(y for j, y in enumerate(comp.patterns) if j not in above)
 
 
-@dataclass(slots=True)
 class Chain:
     """A degree-n chain, as plain data.
 
@@ -101,12 +99,25 @@ class Chain:
     obstruction span, the empty root for degree 0 and the letter itself
     for degree 1. d_n of the chain leads with [(n-1)-prefix | node]. The
     obstruction spans are not stored: is_chain_top_down reads them off
-    the word.
+    the word. Chains compare field by field and are not hashable.
     """
 
-    degree: int
-    word: tuple
-    node: tuple
+    __slots__ = ("degree", "word", "node")
+
+    def __init__(self, degree, word, node):
+        self.degree = degree
+        self.word = word
+        self.node = node
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.degree, self.word, self.node)
+                == (other.degree, other.word, other.node))
+
+    def __repr__(self):
+        return "Chain(degree=%r, word=%r, node=%r)" % (
+            self.degree, self.word, self.node)
 
 
 def identity_chain():

@@ -4,15 +4,14 @@ bounded completion, and normal-word enumeration and counting."""
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 from .errors import (BoundExceeded, InvalidPresentation, ZeroPolynomial,
                      require_listable)
 from .fields import QQ, field_from_json
-from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
-                           axpy, words_up_to_weight)
+from .free_algebra import (_NUM_RE, Alphabet, FreeAlgebra, MonomialOrder,
+                           Polynomial, axpy, words_up_to_weight)
 from .wordops import NormalWordAutomaton
 
 
@@ -120,6 +119,14 @@ class Presentation:
                    for v in aug.values()):
                 raise InvalidPresentation(
                     "augmentation values must be integers or strings")
+            # the grammar of a relation's coefficient, so that no string
+            # such as "1e9999999" reaches Fraction
+            for name, v in aug.items():
+                if isinstance(v, str) and not _NUM_RE.match(
+                        v[1:] if v[:1] in ("+", "-") else v):
+                    raise InvalidPresentation(
+                        "augmentation of %s is not an integer or p/q: %r"
+                        % (name, v))
         try:
             return cls(algebra, relations, aug)
         except (TypeError, ValueError) as exc:
@@ -133,7 +140,7 @@ class Presentation:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise InvalidPresentation("bad JSON: %s" % (exc,)) from None
         return cls.from_json(data)
 
@@ -347,13 +354,17 @@ def _ambiguities(rs, max_weight, new=None):
     return out
 
 
-@dataclass
 class CheckReport:
-    ok: bool
-    verified_to_degree: int
-    counterexample: tuple = None
-    branches: tuple = None
-    spoly_normal_form: object = None
+    """The outcome of check_groebner; a failure names the first ambiguity
+    word whose branches differ, their normal forms and the difference."""
+
+    def __init__(self, ok, verified_to_degree, counterexample=None,
+                 branches=None, spoly_normal_form=None):
+        self.ok = ok
+        self.verified_to_degree = verified_to_degree
+        self.counterexample = counterexample
+        self.branches = branches
+        self.spoly_normal_form = spoly_normal_form
 
 
 def _branches(rs, ov):

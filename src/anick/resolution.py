@@ -2,7 +2,6 @@
 the resolution, and the contracting homotopy that defines them."""
 
 import time
-from dataclasses import dataclass
 
 from .chains import ChainGraph, enumerate_chains, identity_chain, obstructions
 from .errors import (NonTermination, NotGroebner, NotInKernel, ZeroElement,
@@ -77,12 +76,15 @@ class _KeyMemo(dict):
         return k
 
 
-@dataclass
 class DegreeReport:
-    degree: int
-    chains: int
-    ok: bool
-    seconds: float
+    """One row of verify_complex: whether d_{n-1} d_n vanished on all the
+    chains of a degree, and how long the check took."""
+
+    def __init__(self, degree, chains, ok, seconds):
+        self.degree = degree
+        self.chains = chains
+        self.ok = ok
+        self.seconds = seconds
 
 
 class ResolutionEngine:

@@ -3,7 +3,6 @@ characterizations."""
 
 import collections
 import copy
-import dataclasses
 import itertools
 import pathlib
 import time
@@ -224,8 +223,15 @@ def test_identity_chain():
     c = identity_chain()
     assert c.degree == 0 and c.word == () and c.node == ()
     # the spans are not stored: is_chain_top_down reads them off the word
-    assert [f.name for f in dataclasses.fields(Chain)] == \
-        ["degree", "word", "node"]
+    assert Chain.__slots__ == ("degree", "word", "node")
+    # chains compare field by field, are unhashable, and print their fields
+    assert c == Chain(0, (), ()) and c != Chain(1, (0,), (0,))
+    assert Chain(2, (0, 0), (0,)) != Chain(2, (0, 0), (0, 0))
+    assert c != (0, (), ())
+    with pytest.raises(TypeError):
+        hash(c)
+    assert repr(Chain(1, (0,), (0,))) == \
+        "Chain(degree=1, word=(0,), node=(0,))"
 
 
 # ---- bracket decomposition ----

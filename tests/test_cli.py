@@ -591,10 +591,20 @@ def test_fractional_coefficients_render(capsys):
      "augmentation": {"x": True}},
     {"generators": ["x", "y"], "relations": ["y*y"],
      "field": {"type": "prime", "p": 3}, "augmentation": {"x": 2.5}},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "augmentation": {"x": "1.5"}},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "augmentation": {"x": " 1"}},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "augmentation": {"x": "+"}},
+    {"generators": ["x", "y"], "relations": ["y*y"],
+     "augmentation": {"x": ""}},
 ], ids=["relation-1/0", "augmentation-1/0", "relation-int", "field-string",
         "modulus-too-large", "weight-float", "weight-bool", "weight-string",
         "weight-unknown-letter", "weights-number", "augmentation-float",
-        "augmentation-bool", "augmentation-float-gf3"])
+        "augmentation-bool", "augmentation-float-gf3",
+        "augmentation-decimal-string", "augmentation-padded-string",
+        "augmentation-sign-only", "augmentation-empty-string"])
 def test_malformed_input_exits_4(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -603,6 +613,35 @@ def test_malformed_input_exits_4(capsys, tmp_path, data):
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_4(capsys, tmp_path):
+    # json.load recurses once per bracket; the recursion limit it hits
+    # is reported as bad JSON, not as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(capsys, "gb-check", str(path))
+    assert code == 4
+    assert not out
+    assert err.startswith("error: bad JSON: ") and err.count("\n") == 1
+
+
+def test_exponent_augmentation_exits_4_at_once(tmp_path):
+    # an augmentation string is read like a relation's coefficient, an
+    # optional sign and then p or p/q; Fraction alone would take
+    # "1e9999999" and spend seconds and memory on its ten-million-digit
+    # numerator
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({
+        "generators": ["x"], "relations": ["x*x"],
+        "field": {"type": "prime", "p": 2},
+        "augmentation": {"x": "1e9999999"}}))
+    proc, lines, took = _timed_main("chains", path, "--degree", "2")
+    assert proc.returncode == 4
+    assert proc.stderr == ("error: augmentation of x is not an integer or "
+                           "p/q: '1e9999999'\n")
+    assert lines == []
+    assert took < 1.0
 
 
 def test_timings_only_on_stderr(capsys):
@@ -714,3 +753,20 @@ def test_import_leaves_hashlib_out():
          "import sys, anick, anick.cli; print('hashlib' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout == "False\n"
+
+
+def test_import_leaves_dataclasses_out():
+    # the cold start of every command: importing the package loads none
+    # of dataclasses and what it pulls in; the set is diffed against the
+    # modules loaded before the import, so site start-up hooks don't count
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import anick, anick.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    added = set(proc.stdout.split())
+    assert "anick.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
