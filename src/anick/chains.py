@@ -22,15 +22,6 @@ class ObstructionSet:
         _check_antichain(self.automaton)
         self.words = self.automaton.patterns
 
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self):
-        return len(self.words)
-
-    def __contains__(self, w):
-        return tuple(w) in self.words
-
     def __eq__(self, other):
         return isinstance(other, ObstructionSet) and other.words == self.words
 

@@ -38,10 +38,6 @@ def require_listable(count, what):
 class NotGroebner(AnickError):
     """Rewrite system failed the overlap confluence check."""
 
-    def __init__(self, message, counterexample=None):
-        super().__init__(message)
-        self.counterexample = counterexample
-
 
 class NotMinimal(AnickError):
     """Rule leading monomials do not form an anti-chain."""

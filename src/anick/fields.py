@@ -1,6 +1,17 @@
 """Exact coefficient fields: the rationals and prime fields GF(p)."""
 
+import re
 from fractions import Fraction
+
+# The one coefficient grammar: an integer or p/q, with an optional sign.
+# Fraction alone would expand the exponent of a string such as "1e400000".
+COEFFICIENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _fraction(value):
+    if isinstance(value, str) and not COEFFICIENT.fullmatch(value):
+        raise ValueError("not an integer or p/q: %r" % (value,))
+    return Fraction(value)
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below this
@@ -52,7 +63,7 @@ class RationalField:
     def __call__(self, value):
         if type(value) is int:
             return value
-        value = Fraction(value)
+        value = _fraction(value)
         return value.numerator if value.denominator == 1 else value
 
     def inv(self, x):
@@ -96,7 +107,7 @@ class PrimeField:
     def __call__(self, value):
         if isinstance(value, int):
             return value % self.p
-        value = Fraction(value)
+        value = _fraction(value)
         return value.numerator * self.inv(value.denominator) % self.p
 
     def __eq__(self, other):

@@ -10,10 +10,9 @@ from collections import defaultdict
 from operator import neg
 
 from .errors import ZeroPolynomial
-from .fields import QQ
+from .fields import COEFFICIENT, QQ
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
-_NUM_RE = re.compile(r"[0-9]+(/[0-9]+)?$")
 
 
 class Alphabet:
@@ -213,42 +212,60 @@ def format_signed_sum(terms, body):
     return " ".join(pieces) if pieces else "0"
 
 
-class Polynomial:
+class LinearCombination:
+    """Finite map key -> nonzero coefficient in a field, with the one copy
+    of the sparse arithmetic. A subclass has a field and builds an element
+    of its own kind from a terms dict with _new. Every scalar passes
+    through the field, so it is stored reduced."""
+
+    __slots__ = ("terms",)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _plus(self, other, c):
+        return self._new(axpy(dict(self.terms), other.terms.items(), c,
+                              self.field.characteristic))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        field = self.field
+        return self._new(axpy({}, self.terms.items(), field(c),
+                              field.characteristic))
+
+
+class Polynomial(LinearCombination):
     """Finite coefficient map word -> nonzero scalar."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = terms
 
-    def __bool__(self):
-        return bool(self.terms)
+    @property
+    def field(self):
+        return self.algebra.field
+
+    def _new(self, terms):
+        return Polynomial(self.algebra, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        return Polynomial(self.algebra,
-                          axpy(dict(self.terms), other.terms.items(),
-                               1, self.algebra.field.characteristic))
-
-    def __sub__(self, other):
-        return Polynomial(self.algebra,
-                          axpy(dict(self.terms), other.terms.items(),
-                               -1, self.algebra.field.characteristic))
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            p = self.algebra.field.characteristic
+            p = self.field.characteristic
             terms = {}
             for w1, c1 in self.terms.items():
                 axpy(terms, ((w1 + w2, c2) for w2, c2 in other.terms.items()),
@@ -258,11 +275,6 @@ class Polynomial:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def scale(self, c):
-        field = self.algebra.field
-        return Polynomial(self.algebra, axpy({}, self.terms.items(), field(c),
-                                             field.characteristic))
 
     def lm(self):
         if not self.terms:
@@ -358,8 +370,6 @@ class FreeAlgebra:
             chunks.append((sign, "".join(buf).strip()))
         elif pending:
             raise ValueError("dangling operator in %r" % (text,))
-        if not chunks:
-            raise ValueError("no terms in %r" % (text,))
         result = self.zero()
         for sign, term in chunks:
             coeff = self.field.one
@@ -367,7 +377,7 @@ class FreeAlgebra:
             parts = [p.strip() for p in term.split("*")]
             if not all(parts):
                 raise ValueError("empty factor in term %r" % (term,))
-            if _NUM_RE.match(parts[0]):
+            if COEFFICIENT.fullmatch(parts[0]):
                 coeff = self.field(parts[0])
                 parts = parts[1:]
             word = []

@@ -10,8 +10,8 @@ from itertools import accumulate
 from .errors import (BoundExceeded, InvalidPresentation, ZeroPolynomial,
                      require_listable)
 from .fields import QQ, field_from_json
-from .free_algebra import (_NUM_RE, Alphabet, FreeAlgebra, MonomialOrder,
-                           Polynomial, axpy, words_up_to_weight)
+from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
+                           axpy, words_up_to_weight)
 from .wordops import NormalWordAutomaton
 
 
@@ -31,6 +31,19 @@ class Presentation:
 
     def __init__(self, algebra, relations, augmentation=None):
         self.algebra = algebra
+        if augmentation is None:
+            augmentation = {}
+        elif not isinstance(augmentation, dict):
+            raise InvalidPresentation("augmentation must be a mapping")
+        aug = []
+        for name in algebra.alphabet.letters:
+            try:
+                aug.append(algebra.field(augmentation.get(name, 0)))
+            except ValueError:
+                raise InvalidPresentation(
+                    "augmentation of %s is not an integer or p/q: %r"
+                    % (name, augmentation[name])) from None
+        self.augmentation = tuple(aug)
         rels = []
         for r in relations:
             if isinstance(r, str):
@@ -39,12 +52,6 @@ class Presentation:
                 raise InvalidPresentation("zero relation")
             rels.append(r)
         self.relations = tuple(rels)
-        if augmentation is None:
-            augmentation = {}
-        elif not isinstance(augmentation, dict):
-            raise InvalidPresentation("augmentation must be a mapping")
-        self.augmentation = tuple(algebra.field(augmentation.get(name, 0))
-                                  for name in algebra.alphabet.letters)
         for r in self.relations:
             require_long_leading_word(algebra, r, r.lm())
             if self.augmentation_eval(r):
@@ -119,14 +126,6 @@ class Presentation:
                    for v in aug.values()):
                 raise InvalidPresentation(
                     "augmentation values must be integers or strings")
-            # the grammar of a relation's coefficient, so that no string
-            # such as "1e9999999" reaches Fraction
-            for name, v in aug.items():
-                if isinstance(v, str) and not _NUM_RE.match(
-                        v[1:] if v[:1] in ("+", "-") else v):
-                    raise InvalidPresentation(
-                        "augmentation of %s is not an integer or p/q: %r"
-                        % (name, v))
         try:
             return cls(algebra, relations, aug)
         except (TypeError, ValueError) as exc:

@@ -70,6 +70,45 @@ def test_presentation_from_json_errors():
                                 "augmentation": {"q": 1}})
 
 
+def _empty_pattern_listing():
+    # the empty word is a subword of every word, so none is normal
+    automaton = anick.NormalWordAutomaton([()])
+    return automaton.language(3, 2), automaton.counts(3, 2)
+
+
+# case -> (call, exception and message pattern), or (call, None, value)
+INPUT_CHECKS = {
+    "empty alphabet": (lambda: Alphabet([]), ValueError, "non-empty"),
+    "unknown letter": (lambda: Alphabet(["ab", "c"]).word("abc"),
+                       ValueError, "unknown letter 'abc'"),
+    "order of another alphabet": (
+        lambda: FreeAlgebra(Alphabet(["x"]), MonomialOrder(Alphabet(["y"]))),
+        ValueError, "order alphabet mismatch"),
+    "monic zero": (lambda: FreeAlgebra(Alphabet(["x"])).zero().monic(),
+                   anick.ZeroPolynomial, "cannot normalize"),
+    "misplaced +": (lambda: FreeAlgebra(Alphabet(["x", "y"])).parse(
+        "x - + y"), ValueError, r"misplaced \+"),
+    "augmentation not a mapping": (
+        lambda: make_presentation(["x"], ["x*x"], ["x"]),
+        InvalidPresentation, "augmentation must be a mapping"),
+    "negative length": (
+        lambda: RewriteSystem.from_presentation(make_presentation(
+            ["x"], ["x*x"])).count_normal_words(-1),
+        ValueError, "nonnegative"),
+    "empty pattern": (_empty_pattern_listing, None, ([], [0, 0, 0, 0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, exc, expected = INPUT_CHECKS[case]
+    if exc is None:
+        assert call() == expected
+    else:
+        with pytest.raises(exc, match=expected):
+            call()
+
+
 def test_augmentation_eval(running_presentation, idempotent_presentation):
     pres = running_presentation
     A = pres.algebra

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,20 @@ def test_element_arithmetic(running_engine):
         eng.basis_element(2, "xxxx")
 
 
+def test_scale_takes_any_field_scalar(kernel_engines):
+    # the scalar passes through the field: stored reduced, an int when it
+    # is one, over Q and over GF(3)
+    eng = kernel_engines["s3_group.json"]
+    d = eng.differential(eng.chains(2)[0])
+    assert d.scale("1/2") == d.scale(Fraction(1, 2))
+    assert all(type(c) is int for c in d.scale(Fraction(4, 2)).terms.values())
+    eng = kernel_engines["s3_group_gf3.json"]
+    d = eng.differential(eng.chains(2)[0])
+    half = d.scale(Fraction(1, 2))
+    assert half == d.scale(2)
+    assert all(type(c) is int and c in range(3) for c in half.terms.values())
+
+
 def test_basis_order(running_engine):
     eng = running_engine
     a = eng.module_lm(eng.basis_element(2, "xxx", "x")
@@ -143,6 +158,9 @@ def test_act_renormalizes(running_engine):
     assert eng.act(e, ()) == e
     gone = eng.act(eng.basis_element(1, "x", "xxy"), eng.algebra.word("x"))
     assert not gone
+    # a word string acts as its letter indices, as eng.element reads it
+    d = eng.differential(eng.chains(2)[0])
+    assert eng.act(d, "x") == eng.act(d, (0,))
 
 
 def test_epsilon(running_engine, idempotent_presentation):
@@ -288,7 +306,7 @@ def reference_act_into(eng, acc, elem, word, c):
 def reference_act(eng, elem, word):
     return ModuleElement(elem.degree,
                          reference_act_into(eng, {}, elem, tuple(word), 1),
-                         eng.p)
+                         eng.field)
 
 
 def reference_step(eng, n, i, w):
@@ -338,7 +356,7 @@ def reference_lift(eng, n, elem):
         guard += 1
         if guard > 100000:
             raise NonTermination("iteration cap reached")
-    return ModuleElement(n + 1, out, eng.p)
+    return ModuleElement(n + 1, out, eng.field)
 
 
 KERNEL_FILES = ["s3_group.json", "s3_group_gf3.json", "running_example.json",
@@ -455,7 +473,7 @@ def test_degree_builds_match_reference(kernel_engines, name):
             if n == 1:
                 # i_{-1} is the unit and d_0 the augmentation
                 lifted = ModuleElement(
-                    0, dict(eng.apply_differential(base).terms), eng.p)
+                    0, dict(eng.apply_differential(base).terms), eng.field)
             else:
                 prefix = eng.chain_with_word(n - 1, chain.word[:cut])
                 lifted = reference_lift(eng, n - 2, reference_act(
@@ -563,7 +581,7 @@ def test_library_errors(running_engine, case):
 def test_homotopy_needs_degree_zero(running_engine):
     # i_{-1}, the unit k -> C_0, is internal to the lift
     with pytest.raises(ValueError, match="below degree 0"):
-        running_engine.homotopy(-1, ModuleElement(-1, {(0, ()): 1}, 0))
+        running_engine.homotopy(-1, ModuleElement(-1, {(0, ()): 1}, anick.QQ))
 
 
 # ---- diagnostics ----

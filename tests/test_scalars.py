@@ -3,6 +3,7 @@ GF(p) scalars are ints in range(p), and field.inv is the only division,
 so no coefficient is ever a float."""
 
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,23 @@ def test_inv(field, cases):
     for zero in (0, field.zero):
         with pytest.raises(ZeroDivisionError):
             field.inv(zero)
+
+
+def test_coefficient_strings_outside_the_grammar_raise_at_once():
+    # Fraction alone would expand "1e400000" into a 1.3-million-bit int;
+    # a field takes an integer or p/q with an optional sign, and nothing else
+    t0 = time.perf_counter()
+    for field in (anick.QQ, anick.GF(2)):
+        assert field("+3") == field(3) and field("-3/5") == field(Fraction(-3, 5))
+        for text in ("1e400000", "1.5", " 1", "1/-2", "+", ""):
+            with pytest.raises(ValueError, match="not an integer or p/q"):
+                field(text)
+    algebra = FreeAlgebra(Alphabet(["x"]), field=anick.GF(2))
+    with pytest.raises(anick.InvalidPresentation,
+                       match="^augmentation of x is not an integer or p/q: "
+                             "'1e400000'$"):
+        Presentation(algebra, ["x*x"], {"x": "1e400000"})
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _residue_mod_3(c):
