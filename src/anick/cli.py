@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _engine(pres, args):
     return ResolutionEngine.from_presentation(
-        pres, max_degree=args.max_degree, complete_system=args.complete)
+        pres, complete_to=args.max_degree if args.complete else None)
 
 
 def _cmd_gb_check(pres, args):

@@ -7,12 +7,14 @@ tuple is the unit word and prints as "1".
 
 import re
 from collections import defaultdict
-from operator import neg
+from operator import itemgetter, neg
 
 from .errors import ZeroPolynomial
 from .fields import COEFFICIENT, QQ
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
+# a term of parse: characters other than signs, with no space at either end
+_TERM = re.compile(r"([^-+\s](?:[^-+]*[^-+\s])?)")
 
 
 class Alphabet:
@@ -42,9 +44,6 @@ class Alphabet:
 
     def __repr__(self):
         return "Alphabet(%r)" % (list(self.letters),)
-
-    def index(self, name):
-        return self._index[name]
 
     def word(self, text):
         """Parse a word: "1" is empty, names are * separated, or juxtaposed
@@ -264,17 +263,14 @@ class Polynomial(LinearCombination):
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            p = self.field.characteristic
-            terms = {}
-            for w1, c1 in self.terms.items():
-                axpy(terms, ((w1 + w2, c2) for w2, c2 in other.terms.items()),
-                     c1, p)
-            return Polynomial(self.algebra, terms)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        p = self.field.characteristic
+        terms = {}
+        for w1, c1 in self.terms.items():
+            axpy(terms, ((w1 + w2, c2) for w2, c2 in other.terms.items()),
+                 c1, p)
+        return Polynomial(self.algebra, terms)
 
     def lm(self):
         if not self.terms:
@@ -343,52 +339,36 @@ class FreeAlgebra:
         return Polynomial(self, {w: c} if c else {})
 
     def parse(self, text):
-        """Parse "c*x*y - z" style input: terms joined by + or -, each an
-        optional integer or fraction coefficient and * separated letters."""
+        """Parse "c*x*y - z": terms, each an optional integer or p/q and *
+        separated letters, joined by at most one + and then -s, which negate
+        the next term. One regex split and one axpy: linear time."""
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
-        chunks = []
-        sign = 1
-        buf = []
-        pending = False
-        for ch in s:
-            if ch in "+-":
-                if buf and "".join(buf).strip():
-                    chunks.append((sign, "".join(buf).strip()))
-                    buf = []
-                    sign = 1
-                    pending = False
-                if pending and ch == "+":
-                    raise ValueError("misplaced + in %r" % (text,))
-                if ch == "-":
-                    sign = -sign
-                pending = True
-            else:
-                buf.append(ch)
-        if buf and "".join(buf).strip():
-            chunks.append((sign, "".join(buf).strip()))
-        elif pending:
+        pieces = _TERM.split(s)  # signs, term, signs, ..., term, signs
+        signs = ["".join(run.split()) for run in pieces[::2]]
+        if any("+" in run[1:] for run in signs):
+            raise ValueError("misplaced + in %r" % (text,))
+        if signs[-1]:
             raise ValueError("dangling operator in %r" % (text,))
-        result = self.zero()
-        for sign, term in chunks:
-            coeff = self.field.one
-            letters = []
-            parts = [p.strip() for p in term.split("*")]
-            if not all(parts):
-                raise ValueError("empty factor in term %r" % (term,))
-            if COEFFICIENT.fullmatch(parts[0]):
-                coeff = self.field(parts[0])
-                parts = parts[1:]
-            word = []
-            for p in parts:
-                if p == "1":
-                    continue
-                word.extend(self.alphabet.word(p))
-            if sign < 0:
-                coeff = self.field(-coeff)
-            result = result + Polynomial(self, {tuple(word): coeff} if coeff else {})
-        return result
+        terms = map(self._term, signs, pieces[1::2])
+        # axpy takes nonzero coefficients: drop a term like 3*x over GF(3)
+        return Polynomial(self, axpy({}, filter(itemgetter(1), terms), 1,
+                                     self.field.characteristic))
+
+    def _term(self, signs, term):
+        """(word, coefficient) of one term, negated by an odd count of -."""
+        parts = list(map(str.strip, term.split("*")))
+        if not all(parts):
+            raise ValueError("empty factor in term %r" % (term,))
+        coeff = self.field.one
+        if COEFFICIENT.fullmatch(parts[0]):
+            coeff = self.field(parts.pop(0))
+        try:  # one letter name per factor, the common case, in one pass
+            word = tuple(map(self.alphabet._index.__getitem__, parts))
+        except KeyError:  # a "1", juxtaposed letters or an unknown letter
+            word = tuple(i for p in parts for i in self.alphabet.word(p))
+        return word, -coeff if signs.count("-") % 2 else coeff
 
     def format(self, p):
         """Canonical text form: terms descending in the order, * separated."""

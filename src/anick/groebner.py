@@ -3,6 +3,7 @@ bounded completion, and normal-word enumeration and counting."""
 
 import json
 import math
+from fractions import Fraction
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
@@ -27,7 +28,16 @@ def require_long_leading_word(algebra, rule, lm):
 
 class Presentation:
     """Augmented algebra presentation: generators, graded order, relations,
-    and an augmentation mapping generator names to scalars (0 if absent)."""
+    and an augmentation mapping generator names to scalars (0 if absent).
+
+    The constructor checks a presentation for library callers and
+    from_json alike, raising InvalidPresentation unless, in this order:
+    augmentation is None or a dict of generators to ints, Fractions or
+    coefficient strings (no bools or floats) the field reads with no zero
+    denominator; relations is a list or tuple of strings, parsed, and
+    polynomials of algebra, none zero; each relation leads with a word of
+    length 2 or more and vanishes at the augmentation.
+    """
 
     def __init__(self, algebra, relations, augmentation=None):
         self.algebra = algebra
@@ -35,29 +45,52 @@ class Presentation:
             augmentation = {}
         elif not isinstance(augmentation, dict):
             raise InvalidPresentation("augmentation must be a mapping")
-        aug = []
-        for name in algebra.alphabet.letters:
-            try:
-                aug.append(algebra.field(augmentation.get(name, 0)))
-            except ValueError:
+        unknown = set(augmentation) - set(algebra.alphabet.letters)
+        if unknown:
+            raise InvalidPresentation("augmentation for unknown letters %s"
+                                      % (sorted(unknown, key=str),))
+        if any(isinstance(v, bool) or not isinstance(v, (int, Fraction, str))
+               for v in augmentation.values()):
+            raise InvalidPresentation(
+                "augmentation values must be integers or strings")
+        try:
+            aug = []
+            for name in algebra.alphabet.letters:
+                try:
+                    aug.append(algebra.field(augmentation.get(name, 0)))
+                except ValueError:
+                    raise InvalidPresentation(
+                        "augmentation of %s is not an integer or p/q: %r"
+                        % (name, augmentation[name])) from None
+            self.augmentation = tuple(aug)
+            if not isinstance(relations, (list, tuple)):
                 raise InvalidPresentation(
-                    "augmentation of %s is not an integer or p/q: %r"
-                    % (name, augmentation[name])) from None
-        self.augmentation = tuple(aug)
-        rels = []
-        for r in relations:
-            if isinstance(r, str):
-                r = algebra.parse(r)
-            if not r:
-                raise InvalidPresentation("zero relation")
-            rels.append(r)
-        self.relations = tuple(rels)
+                    "relations must be a list of strings")
+            self.relations = tuple(map(self._relation, relations))
+        except ZeroDivisionError as exc:
+            raise InvalidPresentation("zero denominator in a coefficient: %s"
+                                      % (exc,)) from None
         for r in self.relations:
             require_long_leading_word(algebra, r, r.lm())
             if self.augmentation_eval(r):
                 raise InvalidPresentation(
                     "relation %s does not vanish at the augmentation point"
                     % (algebra.format(r),))
+
+    def _relation(self, r):
+        """A nonzero polynomial of the algebra, parsed if r is a string."""
+        if isinstance(r, str):
+            try:
+                r = self.algebra.parse(r)
+            except ValueError as exc:
+                raise InvalidPresentation(str(exc)) from None
+        elif not isinstance(r, Polynomial):
+            raise InvalidPresentation("relations must be a list of strings")
+        elif r.algebra is not self.algebra:
+            raise InvalidPresentation("relation over another algebra")
+        if not r:
+            raise InvalidPresentation("zero relation")
+        return r
 
     def augmentation_eval(self, p):
         """Evaluate a polynomial at the augmentation point."""
@@ -115,24 +148,9 @@ class Presentation:
             raise InvalidPresentation(str(exc)) from None
         algebra = FreeAlgebra(alphabet, order, field)
         aug = data.get("augmentation")
-        if aug is not None:
-            if not isinstance(aug, dict):
-                raise InvalidPresentation("augmentation must be an object")
-            unknown = set(aug) - set(alphabet.letters)
-            if unknown:
-                raise InvalidPresentation("augmentation for unknown letters %s"
-                                          % (sorted(unknown),))
-            if any(isinstance(v, bool) or not isinstance(v, (int, str))
-                   for v in aug.values()):
-                raise InvalidPresentation(
-                    "augmentation values must be integers or strings")
-        try:
-            return cls(algebra, relations, aug)
-        except (TypeError, ValueError) as exc:
-            raise InvalidPresentation(str(exc)) from None
-        except ZeroDivisionError as exc:
-            raise InvalidPresentation("zero denominator in a coefficient: %s"
-                                      % (exc,)) from None
+        if aug is not None and not isinstance(aug, dict):
+            raise InvalidPresentation("augmentation must be an object")
+        return cls(algebra, relations, aug)
 
     @classmethod
     def load(cls, path):

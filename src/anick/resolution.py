@@ -105,16 +105,17 @@ class ResolutionEngine:
         self._d = [None]
 
     @classmethod
-    def from_presentation(cls, pres, max_degree=7, complete_system=False):
+    def from_presentation(cls, pres, complete_to=None):
         """Build the engine after verifying (or completing) the relations.
 
-        max_degree bounds completion only. The confluence check runs to
-        rs.max_ambiguity_weight(), which no ambiguity outweighs, so it
-        covers every ambiguity.
+        With complete_to None the relations are checked for confluence to
+        rs.max_ambiguity_weight(), which no ambiguity outweighs, so the
+        check covers every ambiguity. With an int they are completed to
+        max(complete_to, rs.max_rule_weight()) instead.
         """
         rs = RewriteSystem.from_presentation(pres)
-        if complete_system:
-            rs = complete(rs, max(max_degree, rs.max_rule_weight()))
+        if complete_to is not None:
+            rs = complete(rs, max(complete_to, rs.max_rule_weight()))
         else:
             report = check_groebner(rs, rs.max_ambiguity_weight())
             if not report.ok:

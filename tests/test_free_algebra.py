@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import anick
 from anick import Alphabet, FreeAlgebra, MonomialOrder, ZeroPolynomial, words_up_to_weight
-from anick.fields import _is_prime
+from anick.fields import COEFFICIENT, _is_prime
+from anick.free_algebra import Polynomial
 
 XYZ = Alphabet(["x", "y", "z"])
 XY = Alphabet(["x", "y"])
@@ -141,6 +142,9 @@ def test_polynomial_arithmetic():
     assert A.format(-p) == "-x*x + x*y - y*x + y*y"
     assert A.format(p.scale(Fraction(1, 2))) == "1/2*x*x - 1/2*x*y + 1/2*y*x - 1/2*y*y"
     assert (x * A.one()) == x
+    assert A.from_word("y*x", 2) == A.from_word("yx").scale(2) == y * x.scale(2)
+    with pytest.raises(TypeError):  # scale is the one scalar product
+        x * 2
     assert A.format(x * x * x) == "x*x*x"
 
 
@@ -182,6 +186,88 @@ def test_parse_random_round_trip():
             c = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
             p = p + A.from_word(rng.choice(words)).scale(c)
         assert A.parse(A.format(p)) == p
+
+
+def reference_parse(A, text):
+    """The character-loop parser that parse replaced, kept as its oracle:
+    it adds each term to the sum so far, so it is quadratic in the terms."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    chunks = []
+    sign = 1
+    buf = []
+    pending = False
+    for ch in s:
+        if ch in "+-":
+            if buf and "".join(buf).strip():
+                chunks.append((sign, "".join(buf).strip()))
+                buf = []
+                sign = 1
+                pending = False
+            if pending and ch == "+":
+                raise ValueError("misplaced + in %r" % (text,))
+            if ch == "-":
+                sign = -sign
+            pending = True
+        else:
+            buf.append(ch)
+    if buf and "".join(buf).strip():
+        chunks.append((sign, "".join(buf).strip()))
+    elif pending:
+        raise ValueError("dangling operator in %r" % (text,))
+    result = A.zero()
+    for sign, term in chunks:
+        coeff = A.field.one
+        parts = [p.strip() for p in term.split("*")]
+        if not all(parts):
+            raise ValueError("empty factor in term %r" % (term,))
+        if COEFFICIENT.fullmatch(parts[0]):
+            coeff = A.field(parts[0])
+            parts = parts[1:]
+        word = []
+        for p in parts:
+            if p == "1":
+                continue
+            word.extend(A.alphabet.word(p))
+        if sign < 0:
+            coeff = A.field(-coeff)
+        result = result + Polynomial(A, {tuple(word): coeff} if coeff else {})
+    return result
+
+
+def _parse_outcome(parse, text):
+    """The terms parse gives, each coefficient with its type, or the type
+    and message of the exception it raises."""
+    try:
+        return {w: (c, type(c)) for w, c in parse(text).terms.items()}
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", [anick.QQ, anick.GF(3)], ids=str)
+def test_parse_matches_reference(field):
+    # every string of up to 5 characters over x, space, tab, + - * 1 /
+    A = FreeAlgebra(Alphabet(["x"]), field=field)
+    for n in range(6):
+        for chars in itertools.product("x +-*1/\t", repeat=n):
+            text = "".join(chars)
+            assert _parse_outcome(A.parse, text) == \
+                _parse_outcome(lambda t: reference_parse(A, t), text), text
+
+
+def test_parse_is_linear():
+    # 64,000 distinct terms, 1.3 MB: quadratic when each term copies the sum
+    A = FreeAlgebra(Alphabet(["w", "x", "y", "z"]))
+    words = itertools.islice(itertools.product("wxyz", repeat=8), 64000)
+    text = " - ".join("%d*%s" % (i % 5 + 1, "*".join(w))
+                      for i, w in enumerate(words))
+    t0 = time.perf_counter()
+    p = A.parse(text)
+    assert time.perf_counter() - t0 < 3.0
+    assert len(p.terms) == 64000
+    assert p.terms[A.word("wwwwwwww")] == 1
+    assert p.terms[A.word("wwwwwwwx")] == -2
 
 
 def test_parse_rejects_garbage():

@@ -1,10 +1,12 @@
 """Rewriting systems: normal forms, confluence checking, completion,
 and normal-word enumeration."""
 
+import functools
 import itertools
 import json
 import pathlib
 import random
+import re
 import time
 
 import pytest
@@ -70,6 +72,44 @@ def test_presentation_from_json_errors():
                                 "augmentation": {"q": 1}})
 
 
+def _on_x(relations, augmentation=None):
+    return make_presentation(["x"], relations, augmentation)
+
+
+# case -> (relations, augmentation, message): inputs that JSON can express,
+# refused by the constructor and by from_json with the same message
+GATE_CASES = {
+    "unknown augmentation key": (["x*x"], {"q": 5, "x": 0},
+                                 "augmentation for unknown letters ['q']"),
+    "bool augmentation": (["x*x"], {"x": True},
+                          "augmentation values must be integers or strings"),
+    "float augmentation": (["x*x"], {"x": 1.0},
+                           "augmentation values must be integers or strings"),
+    "zero denominator in the augmentation": (
+        ["x*x"], {"x": "1/0"},
+        "zero denominator in a coefficient: Fraction(1, 0)"),
+    "dangling factor": (["x*"], None, "empty factor in term 'x*'"),
+    "zero denominator in a relation": (
+        ["1/0*x*x"], None,
+        "zero denominator in a coefficient: Fraction(1, 0)"),
+    "relation not a string": ([5], None, "relations must be a list of strings"),
+    "relations a string": ("x*x", None, "relations must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_from_json_refuses_as_the_constructor(case):
+    relations, augmentation, message = GATE_CASES[case]
+    data = {"generators": ["x"], "relations": relations}
+    if augmentation is not None:
+        data["augmentation"] = augmentation
+    for build in (lambda: _on_x(relations, augmentation),
+                  lambda: Presentation.from_json(json.loads(json.dumps(data)))):
+        with pytest.raises(InvalidPresentation) as info:
+            build()
+        assert str(info.value) == message
+
+
 def _empty_pattern_listing():
     # the empty word is a subword of every word, so none is normal
     automaton = anick.NormalWordAutomaton([()])
@@ -96,7 +136,19 @@ INPUT_CHECKS = {
             ["x"], ["x*x"])).count_normal_words(-1),
         ValueError, "nonnegative"),
     "empty pattern": (_empty_pattern_listing, None, ([], [0, 0, 0, 0])),
+    # a polynomial relation must belong to the presentation's algebra
+    "relation with a letter the algebra lacks": (
+        lambda: _on_x([FreeAlgebra(Alphabet(["x", "y"])).parse("x*y")]),
+        InvalidPresentation, "relation over another algebra"),
+    "relation over another field": (
+        lambda: _on_x([FreeAlgebra(Alphabet(["x"]),
+                                   field=anick.GF(2)).parse("x*x")]),
+        InvalidPresentation, "relation over another algebra"),
 }
+INPUT_CHECKS.update(
+    (case, (functools.partial(_on_x, relations, augmentation),
+            InvalidPresentation, re.escape(message)))
+    for case, (relations, augmentation, message) in GATE_CASES.items())
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
@@ -337,12 +389,14 @@ def test_automaton_rejects_ideal_words(running_rs):
 # ---- independent characterization of the leading-word set ----
 
 def test_oracle_complement_equals_normal_words(running_presentation, running_rs):
-    lead = leading_monomials_oracle(running_presentation, 5)
-    normal = set(running_rs.normal_words(5))
-    universe = set(anick.words_up_to_weight(running_presentation.algebra.alphabet,
-                                            running_presentation.algebra.order, 5))
-    assert normal == universe - lead
-    assert lead <= universe
+    # at bound 3 the relation x*x*y*x is heavier than the bound: no rows
+    A = running_presentation.algebra
+    for bound in (5, 3):
+        lead = leading_monomials_oracle(running_presentation, bound)
+        normal = set(running_rs.normal_words(bound))
+        universe = set(anick.words_up_to_weight(A.alphabet, A.order, bound))
+        assert normal == universe - lead
+        assert lead <= universe
 
 
 def test_oracle_on_completed_system():

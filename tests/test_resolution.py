@@ -114,6 +114,8 @@ def test_element_arithmetic(running_engine):
     assert eng.format_element(z) == "2·[xxx | xx] - [yxz | 1]"
     assert z + b == a
     assert not (z - z)
+    # the zero element is falsy, but it is no int
+    assert eng.zero(2) != 0 and z - z == eng.zero(2)
     assert eng.format_element(eng.zero(2)) == "0"
     with pytest.raises(ZeroElement):
         eng.module_lm(eng.zero(2))
