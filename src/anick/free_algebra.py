@@ -364,10 +364,7 @@ class FreeAlgebra:
         coeff = self.field.one
         if COEFFICIENT.fullmatch(parts[0]):
             coeff = self.field(parts.pop(0))
-        try:  # one letter name per factor, the common case, in one pass
-            word = tuple(map(self.alphabet._index.__getitem__, parts))
-        except KeyError:  # a "1", juxtaposed letters or an unknown letter
-            word = tuple(i for p in parts for i in self.alphabet.word(p))
+        word = tuple(i for p in parts for i in self.alphabet.word(p))
         return word, -coeff if signs.count("-") % 2 else coeff
 
     def format(self, p):

@@ -134,12 +134,9 @@ class Presentation:
             relations = data["relations"]
         except KeyError as exc:
             raise InvalidPresentation("missing key %s" % (exc,)) from None
-        for key, value in (("generators", generators),
-                           ("relations", relations)):
-            if not (isinstance(value, list)
-                    and all(isinstance(v, str) for v in value)):
-                raise InvalidPresentation("%s must be a list of strings"
-                                          % key)
+        if not (isinstance(generators, list)
+                and all(isinstance(g, str) for g in generators)):
+            raise InvalidPresentation("generators must be a list of strings")
         try:
             alphabet = Alphabet(generators)
             order = MonomialOrder(alphabet, data.get("weights"))
