@@ -46,26 +46,23 @@ class Alphabet:
         return "Alphabet(%r)" % (list(self.letters),)
 
     def word(self, text):
-        """Parse a word: "1" is empty, names are * separated, or juxtaposed
-        when every letter is a single character ("xyx")."""
+        """Parse a word: "1" or "" is empty; otherwise * separated factors,
+        each "1", a letter name, or juxtaposed letters when every letter is
+        a single character ("xy*z" is "x*y*z")."""
         text = text.strip()
         if text == "1" or text == "":
             return ()
-        if "*" in text:
-            parts = [p.strip() for p in text.split("*")]
-        elif text in self._index:
-            parts = [text]
-        elif self._compact:
-            parts = list(text)
-        else:
-            parts = [text]
+        index = self._index
         out = []
-        for p in parts:
-            if p == "1":
-                continue
-            if p not in self._index:
-                raise ValueError("unknown letter %r" % (p,))
-            out.append(self._index[p])
+        for factor in text.split("*"):
+            factor = factor.strip()
+            if factor in index:
+                out.append(index[factor])
+            elif factor != "1":
+                for name in factor if self._compact and factor else [factor]:
+                    if name not in index:
+                        raise ValueError("unknown letter %r" % (name,))
+                    out.append(index[name])
         return tuple(out)
 
     def word_str(self, w, sep=None):

@@ -6,11 +6,11 @@ import math
 from fractions import Fraction
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .errors import (BoundExceeded, InvalidPresentation, ZeroPolynomial,
                      require_listable)
-from .fields import QQ, field_from_json
+from .fields import field_from_json
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
                            axpy, words_up_to_weight)
 from .wordops import NormalWordAutomaton
@@ -78,7 +78,8 @@ class Presentation:
                     % (algebra.format(r),))
 
     def _relation(self, r):
-        """A nonzero polynomial of the algebra, parsed if r is a string."""
+        """A nonzero polynomial of the algebra, parsed if r is a string and
+        copied if it is a Polynomial."""
         if isinstance(r, str):
             try:
                 r = self.algebra.parse(r)
@@ -88,6 +89,8 @@ class Presentation:
             raise InvalidPresentation("relations must be a list of strings")
         elif r.algebra is not self.algebra:
             raise InvalidPresentation("relation over another algebra")
+        else:
+            r = Polynomial(self.algebra, dict(r.terms))
         if not r:
             raise InvalidPresentation("zero relation")
         return r
@@ -340,30 +343,23 @@ def overlaps(rs):
     return _ambiguities(rs, math.inf)
 
 
-def _ambiguities(rs, max_weight, new=None):
+def _ambiguities(rs, max_weight):
     """The overlaps of rs whose word weighs at most max_weight, sorted as
     overlaps() sorts them: the matches of each leading word t, and the
     overlaps of t past its first letter, skipped by weight before their
     word is built. The key (weight, word, i, j, offset_i) names each once.
-
-    With new, a set of rule indices, only the overlaps of which one rule
-    or both are in new: the others are those of the other rules alone.
     """
     lms = rs.leading_words
     weight = rs.algebra.order.weight
     automaton = rs.automaton()
     wts = [weight(t) for t in lms]
-    if new is None:
-        new = range(len(lms))
     out = [Overlap(i, j, t, p)
            for j, t in enumerate(lms) if wts[j] <= max_weight
-           for p, i in automaton.all_matches(t)
-           if i != j and (i in new or j in new)]
+           for p, i in automaton.all_matches(t) if i != j]
     out += [Overlap(i, j, t + rest, pos)
             for j, t in enumerate(lms)
             for pos, i, rest in automaton.overlaps(t)
-            if pos and (i in new or j in new)
-            and wts[j] + weight(rest) <= max_weight]
+            if pos and wts[j] + weight(rest) <= max_weight]
     out.sort(key=lambda ov: (weight(ov.word), ov.word, ov.i, ov.j, ov.offset_i))
     return out
 
@@ -453,28 +449,49 @@ def _interreduce(algebra, rules):
             return rs
 
 
-def complete(rs, max_degree):
-    """Bounded completion: resolve ambiguities of weight <= max_degree,
-    adding the smallest new rule first, interreducing after each addition.
+def _echelon(algebra, rows):
+    """Echelon form of the span of rows, each a {word: coefficient} map:
+    a dict from leading word to the monic row that leads with it. Each
+    row in turn is cleared, greatest word first, by the row already kept
+    for that word, and kept once its greatest word has none; zero rows
+    drop out. The rank is the length of the result."""
+    field = algebra.field
+    char = field.characteristic
+    keyf = algebra.order.key
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lw = max(row, key=keyf)
+            piv = pivots.get(lw)
+            if piv is None:
+                pivots[lw] = axpy({}, row.items(), field.inv(row[lw]), char)
+                break
+            axpy(row, piv.items(), -row[lw], char)
+    return pivots
 
-    Each round adds one rule: the smallest, by leading word and then by
-    text, monic difference of the branch normal forms of an ambiguity that
-    does not resolve. A pair queue keeps the rounds from repeating work:
-    an ambiguity that resolved is not looked at again while both of its
-    rules stay as they were, since later rules only add to the ideal below
-    its word (Bergman's diamond lemma, Adv. Math. 1978). Only the
-    ambiguities of a new or changed rule, and those still unresolved, have
-    their branches reduced, by the system that the interreduction
-    returned, with its automaton and the normal forms it has cached.
-    An ambiguity depends only on its two leading words, so each round
-    keeps those of the last round whose leading words both remain, and
-    builds only those of its new leading words.
+
+def complete(rs, max_degree):
+    """Bounded completion: resolve the ambiguities of weight <= max_degree
+    one weight at a time, in ascending order.
+
+    At the least weight d with an ambiguity that does not resolve, both
+    branches of every ambiguity of weight d are reduced by the current
+    system, and one echelon step brings the nonzero differences to
+    distinct leading words. All of those rows are added as rules at once,
+    and the system is interreduced. That can change other rules too, and
+    give one a lighter leading word when its old one reduces. An
+    ambiguity of a rule weighs more than the rule's leading word, so the
+    scan goes on at weight e + 1, e the least weight of a leading word
+    whose rule was added or changed. The ambiguities below, of unchanged
+    rules, still resolve, since later rules only add to the ideal below
+    their word (Bergman's diamond lemma, Adv. Math. 29, 1978). Completion
+    ends when every ambiguity of weight <= max_degree resolves.
 
     The result is independent of the input rule order. Raises BoundExceeded
     when an input rule already outweighs the bound.
     """
     algebra = rs.algebra
-    keyf = algebra.order.key
     weight = algebra.order.weight
     for w in rs.leading_words:
         if weight(w) > max_degree:
@@ -482,39 +499,27 @@ def complete(rs, max_degree):
                 "rule leading monomial %s has weight %d > bound %d"
                 % (algebra.word_str(w), weight(w), max_degree))
     current = _interreduce(algebra, rs.rules)
-    previous = {}
-    # ambiguities, as (leading word i, leading word j, word, offset i), and
-    # the resolved ones, as (leading word i, leading word j, offset i);
-    # leading words are unique in an interreduced system
-    known = []
-    resolved = set()
+    done = -1  # every ambiguity of weight <= done resolves
     while True:
-        lws = current.leading_words
-        rules = dict(zip(lws, current.rules))
-        index = {lw: k for k, lw in enumerate(lws)}
-        fresh = {lw for lw, r in rules.items() if previous.get(lw) != r}
-        new = {k for k, lw in enumerate(lws) if lw not in previous}
-        known = [a for a in known if a[0] in index and a[1] in index]
-        known += [(lws[ov.i], lws[ov.j], ov.word, ov.offset_i)
-                  for ov in _ambiguities(current, max_degree, new)]
-        candidates = []
-        for li, lj, word, offset_i in known:
-            pair = (li, lj, offset_i)
-            if pair in resolved and li not in fresh and lj not in fresh:
+        rows = []
+        for d, group in groupby(_ambiguities(current, max_degree),
+                                key=lambda ov: weight(ov.word)):
+            if d <= done:
                 continue
-            a, b = _branches(current, Overlap(index[li], index[lj], word,
-                                              offset_i))
-            if a == b:
-                resolved.add(pair)
-            else:
-                resolved.discard(pair)
-                candidates.append((a - b).monic())
-        if not candidates:
+            for ov in group:
+                a, b = _branches(current, ov)
+                if a != b:
+                    rows.append((a - b).terms)
+            if rows:
+                break
+        else:
             return current
-        smallest = min(candidates,
-                       key=lambda p: (keyf(p.lm()), algebra.format(p)))
-        previous = rules
-        current = _interreduce(algebra, current.rules + (smallest,))
+        before = dict(zip(current.leading_words, current.rules))
+        current = _interreduce(algebra, current.rules + tuple(
+            Polynomial(algebra, r) for r in _echelon(algebra, rows).values()))
+        done = min(weight(lw) for lw, r in zip(current.leading_words,
+                                               current.rules)
+                   if before.get(lw) != r)
 
 
 def leading_monomials_oracle(pres, max_degree):
@@ -527,29 +532,18 @@ def leading_monomials_oracle(pres, max_degree):
     ideal elements whose derivation passes through weights above the bound
     can be missed.
     """
-    alg = pres.algebra
-    order = alg.order
-    field = alg.field
-    char = field.characteristic
-    keyf = order.key
-    pivots = {}
-    for g in pres.relations:
-        rem = max_degree - order.weight(g.lm())
-        if rem < 0:
-            continue
-        smalls = words_up_to_weight(alg.alphabet, order, rem)
-        for u in smalls:
-            wu = order.weight(u)
-            for v in smalls:
-                if wu + order.weight(v) > rem:
-                    continue
-                row = {u + w + v: c for w, c in g.terms.items()}
-                while row:
-                    lw = max(row, key=keyf)
-                    piv = pivots.get(lw)
-                    if piv is None:
-                        pivots[lw] = axpy({}, row.items(),
-                                          field.inv(row[lw]), char)
-                        break
-                    axpy(row, piv.items(), -row[lw], char)
-    return set(pivots)
+    order = pres.algebra.order
+    weight = order.weight
+
+    def rows():
+        for g in pres.relations:
+            rem = max_degree - weight(g.lm())
+            if rem < 0:
+                continue
+            smalls = words_up_to_weight(pres.algebra.alphabet, order, rem)
+            for u in smalls:
+                wu = weight(u)
+                for v in smalls:
+                    if wu + weight(v) <= rem:
+                        yield {u + w + v: c for w, c in g.terms.items()}
+    return set(_echelon(pres.algebra, rows()))

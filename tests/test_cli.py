@@ -744,6 +744,20 @@ def test_verify_is_fast_at_high_degrees(name, degree):
     assert took < 1.0
 
 
+# completion resolves the ambiguities of one weight together, with one
+# echelon step, where adding one rule per round took about 28 s at weight
+# 14 (2-core x86 VM)
+@pytest.mark.parametrize("bound, rules", [(8, 31), (10, 78), (12, 197),
+                                          (14, 524)])
+def test_complete_is_fast_at_high_weights(bound, rules):
+    proc, lines, took = _timed_main("gb-complete", XYZ, "--max-degree",
+                                    bound)
+    assert proc.returncode == 0
+    assert lines[0] == "degree-bound: %d" % bound
+    assert [line[:6] for line in lines[1:]] == ["rule: "] * rules
+    assert took < 10.0
+
+
 def test_import_leaves_hashlib_out():
     # only json output digests the presentation, so hashlib loads there;
     # -S keeps site-packages start-up hooks out of the count

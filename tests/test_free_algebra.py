@@ -28,6 +28,19 @@ def test_alphabet_word_parsing():
         XYZ.word("x*w")
 
 
+def test_word_reads_factors_as_parse_does():
+    # each * separated factor is a letter or juxtaposed letters, in a word
+    # as in a term of a polynomial
+    A = FreeAlgebra(XYZ)
+    for text in ["xy*z", "x*yz", "xyz"]:
+        assert XYZ.word(text) == (0, 1, 2)
+        assert A.parse(text).terms == {XYZ.word(text): 1}
+    assert XYZ.word("x*1*yz") == A.parse("x*1*yz").lm() == (0, 1, 2)
+    for bad in ["x**y", "x*w", "xw*y"]:
+        with pytest.raises(ValueError):
+            XYZ.word(bad)
+
+
 def test_alphabet_multichar_names():
     ab = Alphabet(["alpha", "beta"])
     assert ab.word("alpha*beta") == (0, 1)
