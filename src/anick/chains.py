@@ -147,8 +147,12 @@ class ChainGraph:
     Nodes: the root (empty word), the letters, and every proper suffix of
     an obstruction. Edge s -> t exists when st contains exactly one
     obstruction occurrence and that occurrence is a suffix of st; the
-    occurrence is stored as the edge witness. No node holds one, so the
-    targets are the rests of the overlaps of s, sorted as the nodes are.
+    occurrence is stored as the edge witness. Equivalently, t is a
+    shortest overlap rest of s: no other overlap rest of s is a proper
+    prefix of t. No node holds an obstruction, and no two occurrences
+    end at one position, so a second one in st starts in s and ends
+    inside t, at a shorter rest. Prechains follow every overlap rest and
+    chains the shortest ones; targets are sorted as the nodes are.
     """
 
     def __init__(self, obstruction_set, alphabet):
@@ -162,10 +166,14 @@ class ChainGraph:
         self.nodes = tuple(ordered)
         edges = {(): tuple(((i,), None) for i in range(len(alphabet)))}
         for s in ordered[1:]:
-            edges[s] = tuple(sorted(
-                ((t, obs[k]) for _, k, t in automaton.overlaps(s)
-                 if len(automaton.all_matches(s + t)) == 1),
-                key=lambda edge: (len(edge[0]), edge[0])))
+            found = sorted(((t, obs[k]) for _, k, t in automaton.overlaps(s)),
+                           key=lambda edge: (len(edge[0]), edge[0]))
+            rests = {t for t, _ in found}
+            # a prefix of t can be a rest only at a rest's length; slicing
+            # at every length made the graph of x^n quartic in n
+            lengths = sorted({len(t) for t in rests})
+            edges[s] = tuple(e for e in found if not any(
+                e[0][:m] in rests for m in lengths if m < len(e[0])))
         self.edges = edges
 
     def chain_counts(self, degree):

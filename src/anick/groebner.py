@@ -165,8 +165,10 @@ class Presentation:
 class RewriteSystem:
     """Monic rules sorted by leading monomial, descending.
 
-    Construction only prepares, sorts and indexes the rules; minimal and
-    reduced are derived from them on first use.
+    Construction prepares, sorts and indexes the rules, and stores the
+    rewrites: rewrites[i] pairs each other word of rules[i] with its
+    coefficient negated in the field, the polynomial leading_words[i]
+    rewrites to. minimal and reduced are derived on first use.
     """
 
     def __init__(self, algebra, rules):
@@ -176,6 +178,9 @@ class RewriteSystem:
                        key=lambda pair: keyf(pair[0]), reverse=True)
         self.leading_words = tuple(lm for lm, _ in pairs)
         self.rules = tuple(r for _, r in pairs)
+        self.rewrites = tuple(tuple((w, algebra.field(-c))
+                                    for w, c in r.terms.items() if w != lm)
+                              for lm, r in pairs)
         self._nf_cache = {}
         self._automaton = None
 
@@ -189,8 +194,7 @@ class RewriteSystem:
         """True when minimal and no tail word contains a leading word."""
         accepts = self.automaton().accepts
         return self.minimal and all(
-            accepts(w) for r, lm in zip(self.rules, self.leading_words)
-            for w in r.terms if w != lm)
+            accepts(w) for rewrite in self.rewrites for w, _ in rewrite)
 
     def max_rule_weight(self):
         weight = self.algebra.order.weight
@@ -205,22 +209,19 @@ class RewriteSystem:
 
     def one_step(self, word, pos, rule_index):
         """Rewrite the rule occurrence at pos in word once."""
-        rule = self.rules[rule_index]
-        lm = self.leading_words[rule_index]
         prefix = word[:pos]
-        suffix = word[pos + len(lm):]
-        # distinct tail words stay distinct under the same prefix and suffix
-        return Polynomial(self.algebra, axpy(
-            {}, ((prefix + w2 + suffix, c2) for w2, c2 in rule.terms.items()
-                 if w2 != lm), -1, self.algebra.field.characteristic))
+        suffix = word[pos + len(self.leading_words[rule_index]):]
+        # distinct rewrite words stay distinct under one prefix and suffix
+        return Polynomial(self.algebra, {
+            prefix + w + suffix: c for w, c in self.rewrites[rule_index]})
 
     def normal_form_word(self, w):
         """Normal form of a single word, cached, with every word met on
         the way.
 
         The normal form is the linear map F with F(u) = u for a normal
-        word u and F(u) = sum of -c * F(v) over the tail terms c * v of
-        one rewrite of u: at the leftmost occurrence of a leading word, by
+        word u and F(u) = sum of c * F(v) over the terms c * v of
+        one_step on u: at the leftmost occurrence of a leading word, by
         the first such rule in stored order. This is the greatest-first
         reduction, on systems that are not confluent too, since a word is
         always rewritten the same way.
@@ -244,8 +245,7 @@ class RewriteSystem:
         if cached is not None:
             return cached
         algebra = self.algebra
-        lms = self.leading_words
-        rules = self.rules
+        one_step = self.one_step
         first_match = self.automaton().first_match
         p = algebra.field.characteristic
         one = algebra.field.one
@@ -262,27 +262,19 @@ class RewriteSystem:
                     cache[u] = Polynomial(algebra, {u: one})
                     stack.pop()
                     continue
-                lm = lms[ridx]
-                prefix = u[:pos]
-                suffix = u[pos + len(lm):]
-                # distinct tail words give distinct words
-                step = [(prefix + w2 + suffix, c2)
-                        for w2, c2 in rules[ridx].terms.items() if w2 != lm]
+                step = list(one_step(u, pos, ridx).terms.items())
                 missing = [(v, None) for v, _ in step if v not in cache]
                 if missing:
                     stack[-1] = (u, step)
                     stack.extend(missing)
                     continue
             stack.pop()
-            if len(step) == 1:
-                v, c = step[0]
-                c = -c % p if p else -c
-                if c == 1:
-                    cache[u] = cache[v]
-                    continue
+            if len(step) == 1 and step[0][1] == 1:
+                cache[u] = cache[step[0][0]]
+                continue
             acc = {}
             for v, c in step:
-                axpy(acc, cache[v].terms.items(), -c, p)
+                axpy(acc, cache[v].terms.items(), c, p)
             cache[u] = Polynomial(algebra, acc)
         return cache[w]
 
@@ -428,17 +420,16 @@ def _interreduce(algebra, rules):
         # the system sorts descending and stably, so among equal leading
         # words its order is the list order
         for i in sorted(range(len(lws)), key=lambda k: (keyf(lws[k]), k)):
-            rule, lw = rs.rules[i], lws[i]
-            tail = Polynomial(algebra, {w: c for w, c in rule.terms.items()
-                                        if w != lw})
+            lw = lws[i]
+            rewrite = rs.one_step(lw, 0, i)
             head = next(((pos, k) for pos, k in matches(lw) if k != i), None)
             if head is not None:
-                nf = rs.normal_form(rs.one_step(lw, *head) + tail)
+                nf = rs.normal_form(rs.one_step(lw, *head) - rewrite)
             else:
-                nf = rs.normal_form(tail)
-                if nf == tail:
+                nf = rs.normal_form(rewrite)
+                if nf == rewrite:
                     continue
-                nf = nf + Polynomial(algebra, {lw: rule.terms[lw]})
+                nf = algebra.from_word(lw) - nf
             rules = list(rs.rules)
             if nf:
                 rules[i] = nf

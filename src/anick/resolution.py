@@ -2,6 +2,7 @@
 the resolution, and the contracting homotopy that defines them."""
 
 import time
+from functools import cached_property
 
 from .chains import ChainGraph, enumerate_chains, identity_chain, obstructions
 from .errors import (NonTermination, NotGroebner, NotInKernel, ZeroElement,
@@ -94,10 +95,8 @@ class ResolutionEngine:
         self.field = self.algebra.field
         self.p = self.field.characteristic
         self.obstruction_set = obstructions(rewrite_system)
-        self.graph = ChainGraph(self.obstruction_set, self.algebra.alphabet)
         self._chains = {0: [identity_chain()]}  # degree -> chains(degree)
         self._counts = []  # chain counts of degrees 0, 1, ... read so far
-        self._walks = self.graph.iter_chain_counts()
         # degree -> {chain word: position in chains(degree)}; the empty
         # word names k's one term in degree -1
         self._positions = {-1: {(): 0}}
@@ -128,6 +127,15 @@ class ResolutionEngine:
         return cls(pres, rs)
 
     # ---- chain bookkeeping ----
+
+    @cached_property
+    def graph(self):
+        """The chain graph, built on first use."""
+        return ChainGraph(self.obstruction_set, self.algebra.alphabet)
+
+    @cached_property
+    def _walks(self):
+        return self.graph.iter_chain_counts()
 
     def chains(self, degree):
         """The chains of one degree, ascending; a term's position indexes
@@ -427,9 +435,10 @@ class ResolutionEngine:
         (i, w): the out-edge of chain i's node in the chain graph whose
         target t starts w, an edge enumerate_chains walks, extends chain i
         to the degree n+1 chain j, and the tail is the rest of w; for n = 0
-        it is the root's edge to the first letter. At most one edge fits: a
-        target starting another would put an obstruction inside the
-        other's node + target. Raises NonTermination when none fits."""
+        it is the root's edge to the first letter. At most one edge fits:
+        the targets are the node's shortest overlap rests (ChainGraph), so
+        none is a proper prefix of another. Raises NonTermination when
+        none fits."""
         i, w = term
         chain = self.chains(n)[i]
         for t, _ in self.graph.edges[chain.node]:

@@ -544,8 +544,30 @@ def test_long_relation_builds_quickly():
                                    "relations": ["x*" * 399 + "y"]})
     t0 = time.perf_counter()
     eng = ResolutionEngine.from_presentation(pres)
-    assert time.perf_counter() - t0 < 1.0
     assert len(eng.graph.nodes) == 401
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_graph_is_built_on_first_use():
+    # normal words and the obstructions never read the chain graph
+    pres = Presentation.load(XYZ)
+    eng = ResolutionEngine.from_presentation(pres, complete_to=8)
+    eng.rs.normal_words(3)
+    assert len(eng.obstruction_set.words) == 31
+    assert "graph" not in vars(eng) and "_walks" not in vars(eng)
+    assert len(eng.chains(2)) == 31
+    assert "graph" in vars(eng)
+
+
+def test_graph_edges_match_reference_on_xyz():
+    # larger than the anti-chains the strategy draws: 80 nodes, 837 edges
+    pres = Presentation.load(XYZ)
+    obs = obstructions(complete(RewriteSystem.from_presentation(pres), 8))
+    graph = build_chain_graph(obs, pres.algebra.alphabet)
+    assert len(graph.nodes) == 80
+    assert sum(map(len, graph.edges.values())) == 837
+    edges = reference_edges(obs, graph.nodes)
+    assert {s: es for s, es in graph.edges.items() if s} == edges
 
 
 # ---- what resolution terms keyed by chain position rely on ----
