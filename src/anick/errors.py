@@ -52,8 +52,14 @@ class NotAnAntichain(AnickError):
 
 
 class NotInKernel(AnickError):
-    """Contracting homotopy applied outside the kernel of the differential."""
+    """The lift stopped at word, a string no chain-graph edge starts: the
+    element lifted was not a cycle."""
+
+    def __init__(self, word):
+        super().__init__("no obstruction occurrence in the reducible part of "
+                         "%s; input was outside the kernel" % word)
+        self.word = word
 
 
 class NonTermination(AnickError):
-    """Homotopy iteration guard tripped; carries a diagnostic message."""
+    """A lift guard tripped: the differential lifted through is broken."""

@@ -8,8 +8,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, groupby
 
-from .errors import (BoundExceeded, InvalidPresentation, ZeroPolynomial,
-                     require_listable)
+from .errors import BoundExceeded, InvalidPresentation, require_listable
 from .fields import field_from_json
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
                            axpy, words_up_to_weight)
@@ -44,7 +43,7 @@ class Presentation:
         if augmentation is None:
             augmentation = {}
         elif not isinstance(augmentation, dict):
-            raise InvalidPresentation("augmentation must be a mapping")
+            raise InvalidPresentation("augmentation must be an object")
         unknown = set(augmentation) - set(algebra.alphabet.letters)
         if unknown:
             raise InvalidPresentation("augmentation for unknown letters %s"
@@ -146,11 +145,8 @@ class Presentation:
             field = field_from_json(data.get("field"))
         except (TypeError, ValueError) as exc:
             raise InvalidPresentation(str(exc)) from None
-        algebra = FreeAlgebra(alphabet, order, field)
-        aug = data.get("augmentation")
-        if aug is not None and not isinstance(aug, dict):
-            raise InvalidPresentation("augmentation must be an object")
-        return cls(algebra, relations, aug)
+        return cls(FreeAlgebra(alphabet, order, field), relations,
+                   data.get("augmentation"))
 
     @classmethod
     def load(cls, path):

@@ -339,10 +339,15 @@ class ResolutionEngine:
         cut = len(chain.word) - len(chain.node)
         lead = (self._position(n - 1)[chain.word[:cut]], chain.node)
         base = ModuleElement(n - 1, {lead: self.field.one}, self.field)
-        # a boundary by construction, so the lift skips the cycle check
-        result = base - self._lift(n - 2, self.apply_differential(base),
-                                   table,
-                                   self.order.descending_key(chain.word))
+        try:
+            lifted = self._lift(n - 2, self.apply_differential(base), table,
+                                self.order.descending_key(chain.word))
+        except NotInKernel as exc:  # d(base) is a boundary on confluent rules
+            raise NotGroebner("rules are not confluent: the lift building "
+                              "d%d(%s) stopped at %s" % (
+                                  n, self.algebra.word_str(chain.word),
+                                  exc.word)) from None
+        result = base - lifted
         assert result.terms.get(lead) == self.field.one, \
             "leading coefficient drifted"
         return result
@@ -369,14 +374,13 @@ class ResolutionEngine:
     def homotopy(self, n, elem):
         """i_n: a right inverse of d_{n+1} on the kernel of d_n, n >= 0.
 
-        Raises NotInKernel when elem is not a d_n cycle.
+        The lift is the kernel test: it raises NotInKernel, naming the
+        word where it stopped, when elem is not a d_n cycle.
         """
         if n < 0:
             raise ValueError("no homotopy below degree 0")
         if elem.degree != n:
             raise ValueError("degree mismatch")
-        if elem and self.apply_differential(elem):
-            raise NotInKernel("element is not a d_%d cycle" % n)
         return self._lift(n, elem)
 
     def _lift_table(self, n):
@@ -386,16 +390,19 @@ class ResolutionEngine:
         return _KeyMemo(self._descending_key(n)), {}
 
     def _lift(self, n, elem, table=None, prev_key=None):
-        """i_n for n >= -1 on an element already known to be a cycle.
+        """i_n for n >= -1: x with d_{n+1}(x) = elem, when elem is a cycle.
 
         i_{-1} is the unit, 1 -> [1 | 1]. Otherwise peels the leading
         term, the one with the least descending key (the greatest word
         chain word + normal word), emits the out-term of its step along
         the chain graph, and subtracts that chain's image from the rest;
         the leading word strictly decreases, so its descending key
-        strictly increases, which is also enforced as a guard, and every
-        term of the result is emitted once, with the word of its lead, so a
-        prev_key the first lead must exceed bounds every word of the result.
+        strictly increases, and every term of the result is emitted once,
+        with the word of its lead, so a prev_key the first lead must
+        exceed bounds every word of the result. It finishes only on a
+        boundary, and a step that finds no edge raises NotInKernel; only a
+        broken differential trips the decrease guard or the 100,000-step
+        cap (NonTermination).
 
         table is a _lift_table(n). Each term's key and step are worked out
         once per table and reused by every lift through it, so the terms
@@ -437,16 +444,14 @@ class ResolutionEngine:
         to the degree n+1 chain j, and the tail is the rest of w; for n = 0
         it is the root's edge to the first letter. At most one edge fits:
         the targets are the node's shortest overlap rests (ChainGraph), so
-        none is a proper prefix of another. Raises NonTermination when
-        none fits."""
+        none is a proper prefix of another. Raises NotInKernel when none
+        fits: on a cycle every leading term has a step."""
         i, w = term
         chain = self.chains(n)[i]
         for t, _ in self.graph.edges[chain.node]:
             if w[:len(t)] == t:
                 return self._position(n + 1)[chain.word + t], w[len(t):]
-        raise NonTermination(
-            "no obstruction occurrence in the reducible part of %s; input "
-            "was outside the kernel" % self.algebra.word_str(chain.word + w))
+        raise NotInKernel(self.algebra.word_str(chain.word + w))
 
     # ---- reports ----
 

@@ -47,7 +47,10 @@ def test_obstruction_set_validation():
         ObstructionSet([(0,)])
     with pytest.raises(anick.NotAnAntichain):
         ObstructionSet([(0, 1), (0, 1, 1)])
-    ObstructionSet([(0, 1), (1, 0)])
+    obs = ObstructionSet([(1, 0), (0, 1), (0, 1)])
+    assert obs == ObstructionSet([(0, 1), (1, 0)])
+    assert obs != ObstructionSet([(0, 1)]) and obs != [(0, 1), (1, 0)]
+    assert repr(obs) == "ObstructionSet([(0, 1), (1, 0)])"
 
 
 # ---- ideal/anti-chain bijection ----

@@ -129,13 +129,18 @@ def test_gb_check_counterexample(capsys):
     ]
 
 
+# two relations with leading words of weight 5 that are not confluent:
+# the first failing ambiguity weighs 8, and their completion to weight 8
+# is not confluent either
+HEAVY = {"generators": ["x", "y"],
+         "relations": ["x*x*x*x*y - x*y*x*x*y", "y*x*y*x*x - y*y*x*y*x"]}
+
+
 def test_check_covers_ambiguities_above_max_degree(capsys, tmp_path):
     # both leading words weigh 5; the failing ambiguity weighs 8, above the
     # default --max-degree 7
     path = tmp_path / "heavy.json"
-    path.write_text(json.dumps({
-        "generators": ["x", "y"],
-        "relations": ["x*x*x*x*y - x*y*x*x*y", "y*x*y*x*x - y*y*x*y*x"]}))
+    path.write_text(json.dumps(HEAVY))
     code, out, _ = run(capsys, "gb-check", str(path))
     assert code == 2
     assert out.splitlines()[:2] == ["status: not-groebner",
@@ -144,6 +149,28 @@ def test_check_covers_ambiguities_above_max_degree(capsys, tmp_path):
     assert code == 2
     assert not out
     assert "not confluent" in err and "yxyxxxxy" in err
+
+
+def test_lift_on_a_truncated_completion_exits_2(capsys, tmp_path):
+    # completed to weight 8 only, the rules are not confluent; the lift that
+    # builds a differential stops, and the command names the chain and the
+    # word where it stopped
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(HEAVY))
+    complete = ["--complete", "--max-degree", "8"]
+    for command, degree in (("resolve", "4"), ("verify", "5"),
+                            ("diagnose", "5")):
+        code, out, err = run(capsys, command, str(path), "--degree", degree,
+                             *complete)
+        assert code == 2
+        assert not out
+        assert err == ("error: rules are not confluent: the lift building "
+                       "d3(yxyyxyxyxx) stopped at yxyyxyyxyx\n")
+    # chains builds no differential, so it still lists the chains of the
+    # truncated system: that half of the --complete loophole is open
+    code, out, _ = run(capsys, "chains", str(path), "--degree", "4",
+                       *complete)
+    assert code == 0 and out
 
 
 def test_complete_deriving_one_letter_rule_exits_4(capsys, tmp_path):

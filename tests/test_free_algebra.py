@@ -70,6 +70,10 @@ def test_order_weighted():
     assert o.weight((0, 1, 0)) == 4
     with pytest.raises(ValueError):
         MonomialOrder(XY, weights=[1, 0])
+    # orders and alphabets compare by value
+    assert o == MonomialOrder(Alphabet(["x", "y"]), weights=[1, 2])
+    assert o != MonomialOrder(XY) and o != XY
+    assert hash(XY) == hash(Alphabet(["x", "y"])) and XY != ("x", "y")
 
 
 @st.composite

@@ -17,6 +17,7 @@ from anick import (Alphabet, BoundExceeded, FreeAlgebra, InvalidPresentation,
                    MonomialOrder, Polynomial, Presentation, RewriteSystem,
                    check_groebner, complete, leading_monomials_oracle,
                    overlaps, words_up_to_weight)
+from anick.fields import field_from_json
 from anick.free_algebra import axpy
 from anick.groebner import Overlap, _ambiguities, _echelon
 
@@ -102,6 +103,7 @@ GATE_CASES = {
         "zero denominator in a coefficient: Fraction(1, 0)"),
     "relation not a string": ([5], None, "relations must be a list of strings"),
     "relations a string": ("x*x", None, "relations must be a list of strings"),
+    "augmentation a list": (["x*x"], ["x"], "augmentation must be an object"),
 }
 
 
@@ -138,7 +140,12 @@ INPUT_CHECKS = {
         "x - + y"), ValueError, r"misplaced \+"),
     "augmentation not a mapping": (
         lambda: make_presentation(["x"], ["x*x"], ["x"]),
-        InvalidPresentation, "augmentation must be a mapping"),
+        InvalidPresentation, "augmentation must be an object"),
+    "prime modulus a string": (
+        lambda: field_from_json({"type": "prime", "p": "7"}),
+        ValueError, "modulus p must be an integer, got '7'"),
+    "unknown field type": (lambda: field_from_json({"type": "real"}),
+                           ValueError, "unknown field type 'real'"),
     "negative length": (
         lambda: RewriteSystem.from_presentation(make_presentation(
             ["x"], ["x*x"])).count_normal_words(-1),

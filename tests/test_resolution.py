@@ -325,16 +325,16 @@ def reference_step(eng, n, i, w):
         automaton = eng.obstruction_set.automaton
         cut = prefix_length(chain, n - 1, eng.obstruction_set)
         pos, idx = automaton.first_match(word[cut:])
-        if pos < 0:
-            raise NonTermination("no obstruction occurrence")
+        if pos < 0:  # no obstruction occurrence
+            raise NotInKernel(eng.algebra.word_str(word))
         start = cut + pos
         end = start + automaton.lengths[idx]
-        if not (start < len(chain.word) < end):
-            raise NonTermination("occurrence does not straddle")
+        if not (start < len(chain.word) < end):  # no straddle
+            raise NotInKernel(eng.algebra.word_str(word))
     upper = {c.word: j for j, c in enumerate(eng.chains(n + 1))}
     j = upper.get(word[:end])
-    if j is None:
-        raise NonTermination("not a chain word")
+    if j is None:  # not a chain word
+        raise NotInKernel(eng.algebra.word_str(word))
     return j, word[end:]
 
 
@@ -436,6 +436,29 @@ def test_kernel_matches_reference(kernel_engines, name, data):
         reference_act_into(eng, dict(z.terms), broken, word, c)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(KERNEL_FILES), st.data())
+def test_homotopy_is_the_kernel_test(kernel_engines, name, data):
+    # homotopy runs no cycle check before its lift: the lift must refuse
+    # exactly the non-cycles and lift every cycle to a preimage; for n = 0
+    # the empty word of the extra term gives the [1 | 1] term of k
+    eng = kernel_engines[name]
+    n = data.draw(st.sampled_from([k for k in (0, 1, 2, 3)
+                                   if eng.chains(k + 1)]))
+    z = random_cycle(eng, n, data)
+    if data.draw(st.booleans()):
+        z = z + eng.element(n, [(
+            data.draw(st.sampled_from(eng.chains(n))),
+            data.draw(st.one_of(st.just(()),
+                                st.sampled_from(eng.rs.normal_words(3)))),
+            data.draw(st.integers(1, 2)))])
+    if eng.apply_differential(z):
+        with pytest.raises(NotInKernel):
+            eng.homotopy(n, z)
+    else:
+        assert eng.apply_differential(eng.homotopy(n, z)) == z
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(KERNEL_FILES), st.data())
 def test_shared_lift_table_matches_reference(kernel_engines, name, data):
@@ -502,7 +525,7 @@ def test_lift_guards(running_presentation):
     with pytest.raises(NonTermination, match="failed to decrease"):
         eng._lift(1, cycle)
     # a leading word with no obstruction past its chain
-    with pytest.raises(NonTermination, match="no obstruction occurrence"):
+    with pytest.raises(NotInKernel, match="no obstruction occurrence"):
         eng._lift(1, eng.basis_element(1, "x", "x"))
 
 

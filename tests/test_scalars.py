@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import anick
 from anick import (Alphabet, FreeAlgebra, Presentation, ResolutionEngine,
                    RewriteSystem, complete)
+from anick.fields import field_from_json
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "presentations"
 
@@ -34,6 +35,9 @@ def test_inv(field, cases):
     for zero in (0, field.zero):
         with pytest.raises(ZeroDivisionError):
             field.inv(zero)
+    # fields compare by value, also after a round trip through JSON
+    assert field == field_from_json(field.to_json())
+    assert field != anick.GF(5) and field != field.to_json()
 
 
 def test_coefficient_strings_outside_the_grammar_raise_at_once():

@@ -29,7 +29,7 @@ TIMEOUT_S = 120
 # subcommand -> the option lists it runs with, each in text and json
 _DEGREES = [["--degree", d] for d in ("0", "1", "3", "6", "12", "40")]
 # completion cut at a weight too low for the lift: on xyz.json the lift
-# finds no obstruction occurrence and the command exits 4
+# building a differential stops, and the command exits 2
 _LIFT_FAILURE = ["--complete", "--max-degree", "5", "--degree", "4"]
 MATRIX = {
     "gb-check": [[], ["--max-degree", "3"]],
