@@ -70,14 +70,12 @@ def antichain_from_oim(poset, oim):
     ideal = {tuple(w) for w in oim}
     if not ideal <= universe:
         raise ValueError("set not contained in the poset")
-    for w in ideal:
-        for i in range(len(w) + 1):
-            for j in range(i, len(w) + 1):
-                u = w[i:j]
-                if u != w and u in universe and u not in ideal:
-                    raise NotAnOim("%r in the set but its subword %r is not"
-                                   % (w, u))
     comp = NormalWordAutomaton(universe - ideal)
+    for w in ideal:
+        _, k = comp.first_match(w)
+        if k >= 0:
+            raise NotAnOim("%r in the set but its subword %r is not"
+                           % (w, comp.patterns[k]))
     above = {j for _, j in comp.nested_pairs()}
     return frozenset(y for j, y in enumerate(comp.patterns) if j not in above)
 

@@ -100,8 +100,8 @@ class ResolutionEngine:
         # degree -> {chain word: position in chains(degree)}; the empty
         # word names k's one term in degree -1
         self._positions = {-1: {(): 0}}
-        # _d[n] lists d_n over chains(n), n >= 1; degree 0 has none
-        self._d = [None]
+        # _d[n] lists d_n over chains(n); d_0 sends [1 | 1] to k's unit
+        self._d = [[ModuleElement(-1, {(0, ()): self.field.one}, self.field)]]
 
     @classmethod
     def from_presentation(cls, pres, complete_to=None):
@@ -187,35 +187,34 @@ class ResolutionEngine:
     def zero(self, degree):
         return ModuleElement(degree, {}, self.field)
 
+    def _word(self, word):
+        """A word argument as letter indices; a string is parsed."""
+        return self.algebra.word(word) if isinstance(word, str) else tuple(word)
+
     def element(self, degree, items):
         """Build from (chain, word, coeff) triples; words may be strings.
 
-        Each triple becomes the term (i, word), i the position of the
-        chain in chains(degree); the empty identity chain names k's one
-        term in degree -1. A chain that is not of that degree raises
-        ValueError.
+        Each triple is coeff * [chain | 1] acted on by word, as act does;
+        the empty identity chain names k's one term in degree -1. A chain
+        that is not of that degree raises ValueError.
         """
         positions = self._position(degree)
-        pairs = []
+        out = {}
         for chain, word, coeff in items:
             i = positions.get(chain.word)
             if i is None:
                 raise ValueError("%s is not a degree-%d chain"
                                  % (self.algebra.word_str(chain.word), degree))
-            if isinstance(word, str):
-                word = self.algebra.word(word)
-            c = self.field(coeff)
-            if c:
-                pairs.append(((i, tuple(word)), c))
-        return ModuleElement(degree, axpy({}, pairs, 1, self.p), self.field)
+            unit = ModuleElement(degree, {(i, ()): self.field.one}, self.field)
+            self._act_into(out, unit, self._word(word), self.field(coeff))
+        return ModuleElement(degree, out, self.field)
 
     def basis_element(self, degree, chain_word, word="1", coeff=1):
-        if isinstance(chain_word, str):
-            chain_word = self.algebra.word(chain_word)
+        chain_word = self._word(chain_word)
         chain = self.chain_with_word(degree, chain_word)
         if chain is None:
             raise ValueError("%s is not a degree-%d chain word"
-                             % (self.algebra.word_str(tuple(chain_word)), degree))
+                             % (self.algebra.word_str(chain_word), degree))
         return self.element(degree, [(chain, word, coeff)])
 
     # ---- order on the tensor basis ----
@@ -256,24 +255,28 @@ class ResolutionEngine:
     # ---- module structure ----
 
     def act(self, elem, word):
-        """Right action: multiply every normal-word factor by word, a word
-        string or letter indices, and renormalize."""
-        if isinstance(word, str):
-            word = self.algebra.word(word)
-        return ModuleElement(
-            elem.degree, self._act_into({}, elem, tuple(word), 1), self.field)
+        """Right action by word, a word string or letter indices: every
+        normal-word factor is multiplied by word and renormalized, and k in
+        degree -1 is scaled by the augmentation of word."""
+        acc = self._act_into({}, elem, self._word(word), 1)
+        return ModuleElement(elem.degree, acc, self.field)
 
     def _act_into(self, acc, elem, word, c):
         """acc += c * (elem acted on by word), in place; returns acc.
 
-        The loop body of axpy, run inline over the normal form of each
-        term: the lift spends most of its time here. Through axpy it was
-        slower (Python 3.11, 2-core VM): one call per term took S3/Q d1-d11
-        from 0.094 to 0.119 s and S3/GF(3) from 0.258 to 0.307 s, and one
-        call on a flattened generator lost 5-13%, S3/Q d1-d13 going from
-        0.702 to 0.797 s.
+        The one right action: on [chain | w] by the normal form of w *
+        word, on k in degree -1 by the augmentation of word. The loop body
+        of axpy, run inline over the normal form of each term: the lift
+        spends most of its time here. Through axpy it was slower (Python
+        3.11, 2-core VM): one call per term took S3/Q d1-d11 from 0.094 to
+        0.119 s and S3/GF(3) from 0.258 to 0.307 s, and one call on a
+        flattened generator lost 5-13%, S3/Q d1-d13 going from 0.702 to
+        0.797 s.
         """
         p = self.p
+        if elem.degree == -1:
+            c = c * self.presentation.word_eval(word)
+            word = ()
         if not word:
             return axpy(acc, elem.terms.items(), c, p)
         if p:
@@ -315,7 +318,7 @@ class ResolutionEngine:
         return self._differentials(n)[i]
 
     def _differentials(self, n):
-        """d_n over chains(n), position by position, n >= 1; every missing
+        """d_n over chains(n), position by position, n >= 0; every missing
         degree up to n is built whole, ascending, so that building d_n only
         reads the differentials of lower degrees and the call depth stays
         flat. Building one degree shares one step table, dropped once that
@@ -353,16 +356,11 @@ class ResolutionEngine:
         return result
 
     def apply_differential(self, elem):
-        """Extend d over a whole element by right-linearity.
-
-        d_0 is the augmentation: a degree-0 element maps to its value
-        times [1 | 1], the basis term of k in degree -1.
-        """
+        """Extend d over a whole element by right-linearity. d_0 sends
+        [1 | 1] to the unit of k, on which a word acts by its augmentation:
+        so d_0 is the augmentation, into k in degree -1."""
         if elem.degree < 0:
             raise ValueError("no differential below degree 0")
-        if elem.degree == 0:
-            eps = self.epsilon(elem)
-            return ModuleElement(-1, {(0, ()): eps} if eps else {}, self.field)
         ds = self._differentials(elem.degree)
         out = {}
         for (i, w), c in elem.terms.items():

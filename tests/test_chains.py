@@ -1,10 +1,12 @@
 """Obstructions, the chain graph, and the two equivalent chain
 characterizations."""
 
+import ast
 import collections
 import copy
 import itertools
 import pathlib
+import re
 import time
 
 import pytest
@@ -99,6 +101,15 @@ def test_bijection_validation():
         oim_from_antichain(poset, [(0,), (0, 0)])
     with pytest.raises(anick.NotAnOim):
         antichain_from_oim(poset, [(0, 0)])  # xx without its subwords
+    bad = [(), (0,), (0, 1)]  # xy without y
+    with pytest.raises(anick.NotAnOim) as info:
+        antichain_from_oim(poset, bad)
+    w, u = map(ast.literal_eval, re.fullmatch(
+        r"(.*) in the set but its subword (.*) is not",
+        str(info.value)).groups())
+    # the reported subword occurs in the reported word and is missing
+    assert w in bad and u in poset and u not in bad
+    assert ref_find_subword(w, u) is not None
     with pytest.raises(ValueError):
         oim_from_antichain(poset, [(0, 0, 0)])
     with pytest.raises(ValueError):

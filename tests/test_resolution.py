@@ -202,6 +202,36 @@ def test_d0_is_augmentation(name):
         eng.apply_differential(eng.apply_differential(z))
 
 
+def test_element_takes_normal_forms(kernel_engines):
+    # a triple is coeff * [chain | 1] acted on by its word: ss = 1 in S3,
+    # and repeated terms combine
+    eng = kernel_engines["s3_group.json"]
+    c = eng.chains(1)[0]
+    assert eng.element(1, [(c, "ss", 1)]) == eng.element(1, [(c, "1", 1)])
+    assert eng.element(1, [(c, "t", 1), (c, "sst", 1)]) == \
+        eng.element(1, [(c, "t", 2)])
+
+
+def test_homotopy_of_zero_written_reducibly(kernel_engines):
+    # [1 | ss] - [1 | 1] is the zero element, so its lift is zero
+    eng = kernel_engines["s3_group.json"]
+    one = eng.chains(0)[0]
+    z = eng.element(0, [(one, "ss", 1), (one, "1", -1)])
+    assert not z
+    assert eng.homotopy(0, z) == eng.zero(1)
+
+
+@pytest.mark.parametrize("name,word,eps", [("s3_group.json", "s", 1),
+                                            ("s3_group.json", "tst", 1),
+                                            ("running_example.json", "x", 0),
+                                            ("running_example.json", "yx", 0)])
+def test_words_act_on_k_by_augmentation(kernel_engines, name, word, eps):
+    # k in degree -1 has the one basis term [1 | 1]; a word scales it
+    eng = kernel_engines[name]
+    unit = eng.element(-1, [(eng.chains(0)[0], "1", 1)])
+    assert eng.act(unit.scale(3), word) == unit.scale(3 * eps)
+
+
 def test_i0(running_engine):
     eng = running_engine
     one = eng.chains(0)[0]
@@ -504,6 +534,42 @@ def test_degree_builds_match_reference(kernel_engines, name):
                 lifted = reference_lift(eng, n - 2, reference_act(
                     eng, eng.differential(prefix), chain.word[cut:]))
             assert eng.differential(chain) == base - lifted
+
+
+def random_word(eng, data):
+    """A random word of length <= 4, reducible ones included."""
+    letters = range(len(eng.algebra.alphabet.letters))
+    return tuple(data.draw(st.lists(st.sampled_from(letters), max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FILES), st.data())
+def test_element_is_the_action_on_a_unit(kernel_engines, name, data):
+    # element reads (c, w, a) as a * [c | 1] acted on by w, k included;
+    # against the axpy reference above k, whose action is the normal form
+    eng = kernel_engines[name]
+    n = data.draw(st.integers(-1, 3))
+    c = data.draw(st.sampled_from(eng._basis_chains(n)))
+    w = random_word(eng, data)
+    a = data.draw(st.integers(-2, 2))
+    unit = eng.element(n, [(c, "1", a)])
+    got = eng.element(n, [(c, w, a)])
+    assert got == eng.act(unit, w)
+    if n >= 0:
+        assert got == reference_act(eng, unit, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FILES), st.data())
+def test_d0_is_epsilon_times_unit(kernel_engines, name, data):
+    # d_0 runs through the stored unit of k and the action on k
+    eng = kernel_engines[name]
+    one = eng.chains(0)[0]
+    z = eng.element(0, [(one, random_word(eng, data),
+                         data.draw(st.integers(-2, 2)))
+                        for _ in range(data.draw(st.integers(0, 4)))])
+    unit = ModuleElement(-1, {(0, ()): eng.field.one}, eng.field)
+    assert eng.apply_differential(z) == unit.scale(eng.epsilon(z))
 
 
 def doctored_engine(presentation, chain_word, extra, degree=2):

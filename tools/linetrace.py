@@ -5,10 +5,13 @@
 Runs pytest in this interpreter, on tests/ unless other arguments are
 given, with a sys.settrace hook that records the lines run in the files of
 src/anick/, and prints `file:line: source` for every line there that holds
-code and never ran, then one summary line. The hook sees this process
-only, so a line that runs only in a child, such as the CLI's
+code and never ran, then one summary line. The default arguments fix
+--hypothesis-seed=0, so the property tests draw the same examples on
+every run and the listings of two checkouts compare. The hook sees this
+process only, so a line that runs only in a child, such as the CLI's
 `sys.exit(main())` under `python -m anick.cli`, is listed too. The tests
-run several times slower under the hook. Uses only the stdlib and pytest.
+run several times slower under the hook. Uses only the stdlib, pytest
+and the hypothesis plugin the tests already need.
 """
 
 import os
@@ -73,6 +76,7 @@ def main(argv):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     code, hits = traced_pytest(argv or ["-q", "-p", "no:cacheprovider",
+                                        "--hypothesis-seed=0",
                                         str(ROOT / "tests")])
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
