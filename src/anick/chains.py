@@ -2,9 +2,10 @@
 the chain graph, and chain enumeration along its paths."""
 
 from itertools import islice
-from operator import attrgetter, eq
+from operator import attrgetter, gt
 
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
+from .free_algebra import weight_runs
 from .groebner import require_long_leading_word
 from .wordops import NormalWordAutomaton, walk_counts
 
@@ -224,29 +225,38 @@ def enumerate_chains(graph, degree, order, below=None):
     order of the presentation the graph was built from: the paths of that
     length from the root, or all extensions of below, chains of a single
     lower degree. A walk over (word, node) pairs, where the edge node -> t
-    extends word by t; only its last step builds Chain records."""
+    extends word by t; only its last step builds Chain records.
+
+    The result needs no sort. The chain words of a degree form a prefix
+    code, and so do the targets of a node, so extending the words of a
+    descending level in turn, each by its node's targets in descending
+    order, keeps the level descending; weight_runs joins its weight runs."""
     if degree < 0:
         raise ValueError("negative degree")
     if below is None:
         below = [identity_chain()]
         if degree == 0:
             return below
-    edges = graph.edges
-    level = [(c.word, c.node) for c in below]
+    targets = {s: sorted((t for t, _ in es), reverse=True)
+               for s, es in graph.edges.items()}
+    word_of = attrgetter("word")
+    # below ascends by order: its weight runs each descend, so this merges
+    level = [(c.word, c.node)
+             for c in sorted(below, key=word_of, reverse=True)]
     # no chain extends an empty list, so it takes one step to no chains
     m = below[0].degree if below else degree - 1
     for _ in range(degree - m - 1):
         level = [(word + t, t) for word, node in level
-                 for t, _ in edges[node]]
+                 for t in targets[node]]
     out = [Chain(degree, word + t, t) for word, node in level
-           for t, _ in edges[node]]
-    word_of = attrgetter("word")
-    order.sort(out, word_of)
-    # a repeated word would sit next to its twin in its sorted run
-    words = list(map(word_of, out))
-    assert not any(map(eq, words, words[1:])), \
-        "chain words at one degree must be distinct"
-    return out
+           for t in targets[node]]
+    chains = []
+    for run in weight_runs(out, map(order.weight, map(word_of, out))):
+        # fails on a repeated word, and on a walk that left its order
+        assert all(map(gt, map(word_of, run), map(word_of, run[1:]))), \
+            "chain words of one weight must be distinct and descending"
+        chains += run
+    return chains
 
 
 def _occurrences(word, obstruction_set):

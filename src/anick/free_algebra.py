@@ -82,6 +82,10 @@ class MonomialOrder:
     weights. It is bound once, to the cheapest exact rule: len when every
     letter weighs 1, since a sum of ones is the number of letters, and
     the sum over the letters otherwise.
+
+    Words of one weight are never prefixes of one another, so among them
+    ascending key is descending tuple order. The listings walk each weight
+    in tuple order and join the runs with weight_runs, with no sort.
     """
 
     def __init__(self, alphabet, weights=None):
@@ -127,41 +131,31 @@ class MonomialOrder:
         are never prefixes of one another."""
         return (-self.weight(w), w)
 
-    def sort(self, items, word=None):
-        """Sort the list items in place, ascending by the key of their words,
-        where word(item) is the word of an item and the item itself by
-        default.
 
-        The items are collected in one run per weight. Each run is sorted by
-        word, descending, and the runs are joined in ascending weight. That
-        is the order of key: words of one weight are never prefixes of one
-        another, so between them descending tuple order is ascending order
-        of the negated letters.
-        """
-        words = items if word is None else map(word, items)
-        runs = defaultdict(list)
-        for item, wt in zip(items, map(self.weight, words)):
-            runs[wt].append(item)
-        items.clear()
-        for wt in sorted(runs):
-            run = runs.pop(wt)
-            run.sort(key=word, reverse=True)
-            items += run
+def weight_runs(items, weights):
+    """The items split stably into runs of equal weight, listed by
+    ascending weight; weights gives the weight of each item in turn."""
+    runs = defaultdict(list)
+    for item, wt in zip(items, weights):
+        runs[wt].append(item)
+    return [runs[wt] for wt in sorted(runs)]
 
 
 def words_up_to_weight(alphabet, order, max_weight):
-    """All words of weight <= max_weight, ascending by the order key."""
-    out = []
+    """All words of weight <= max_weight, ascending by the order key: a
+    depth-first walk that pops the highest letter first lists the words
+    of each weight in descending tuple order."""
+    out, wts = [], []
     stack = [((), 0)]
     while stack:
         w, wt = stack.pop()
         out.append(w)
+        wts.append(wt)
         for i, e in enumerate(order.weights):
             nwt = wt + e
             if nwt <= max_weight:
                 stack.append((w + (i,), nwt))
-    order.sort(out)
-    return out
+    return [w for run in weight_runs(out, wts) for w in run]
 
 
 def axpy(acc, items, c, p):

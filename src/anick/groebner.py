@@ -11,7 +11,7 @@ from itertools import accumulate, groupby
 from .errors import BoundExceeded, InvalidPresentation, require_listable
 from .fields import field_from_json
 from .free_algebra import (Alphabet, FreeAlgebra, MonomialOrder, Polynomial,
-                           axpy, words_up_to_weight)
+                           axpy, weight_runs, words_up_to_weight)
 from .wordops import NormalWordAutomaton
 
 
@@ -290,19 +290,19 @@ class RewriteSystem:
 
     def normal_words(self, max_length):
         """All normal words of length <= max_length, sorted by weight and
-        then alphabetically. Before any listing, BoundExceeded names the
-        least n <= max_length with more than MAX_ITEMS normal words of
-        length at most n."""
+        then alphabetically, by construction: the automaton lists them in
+        ascending tuple order and weight_runs joins them by weight. Before
+        any listing, BoundExceeded names the least n <= max_length with
+        more than MAX_ITEMS normal words of length at most n."""
         if max_length < 0:
             raise ValueError("max_length must be nonnegative")
         counts = self.automaton().iter_counts(len(self.algebra.alphabet))
         for n, total in zip(range(max_length + 1), accumulate(counts)):
             require_listable(total, "normal words of length at most %d" % n)
-        weight = self.algebra.order.weight
         out = self.automaton().language(max_length,
                                         len(self.algebra.alphabet))
-        out.sort(key=lambda w: (weight(w), w))
-        return out
+        runs = weight_runs(out, map(self.algebra.order.weight, out))
+        return [w for run in runs for w in run]
 
     def count_normal_words(self, max_length):
         """Number of normal words of each length 0..max_length."""

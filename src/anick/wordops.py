@@ -146,7 +146,9 @@ class NormalWordAutomaton:
                 for row in self.goto]
 
     def language(self, max_length, n_letters):
-        """All accepted words over n_letters letters of length <= max_length."""
+        """All accepted words over n_letters letters of length <= max_length,
+        in ascending tuple order: a depth-first walk that pops the lowest
+        letter first, each word before its extensions."""
         if self.out[0]:
             return []
         rows = self._live_rows(n_letters)
@@ -157,7 +159,7 @@ class NormalWordAutomaton:
             out.append(w)
             if len(w) < max_length:
                 row = rows[s]
-                for a in range(n_letters):
+                for a in reversed(range(n_letters)):
                     t = row[a]
                     if t >= 0:
                         stack.append((w + (a,), t))

@@ -482,6 +482,26 @@ def test_weight_runs_sort_by_key(system, data):
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_antichains(), st.data())
+def test_normal_words_sort_by_weight_then_word(system, data):
+    # a monomial system: its normal words are the words avoiding its
+    # leading words, listed by weight and then alphabetically
+    n, words = system
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    weights = data.draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (1, 2, 1)]))
+    order = MonomialOrder(alphabet, weights[:n])
+    algebra = FreeAlgebra(alphabet, order, anick.QQ)
+    rs = RewriteSystem.from_presentation(
+        Presentation(algebra, [algebra.poly({w: 1}) for w in words]))
+    bound = data.draw(st.integers(0, 5))
+    brute = [w for k in range(bound + 1)
+             for w in itertools.product(range(n), repeat=k)
+             if all(ref_find_subword(w, u) is None for u in words)]
+    assert rs.normal_words(bound) == \
+        sorted(brute, key=lambda w: (order.weight(w), w))
+
+
 # ---- the overlap rule against the loops it replaced ----
 
 def reference_edges(obs, nodes):
@@ -603,6 +623,20 @@ def test_same_degree_chain_words_are_prefix_free(system, degree):
 
 @settings(max_examples=100, deadline=None)
 @given(random_antichains())
+def test_node_targets_are_prefix_free(system):
+    # the targets of a node are its shortest overlap rests; enumerate_chains
+    # walks them in descending order and relies on this to stay in order
+    n, words = system
+    graph = build_chain_graph(ObstructionSet(words),
+                              Alphabet(["x", "y", "z"][:n]))
+    for s, edges in graph.edges.items():
+        targets = {t for t, _ in edges}
+        for t in targets:
+            assert not any(t[:k] in targets for k in range(len(t))), (s, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_antichains())
 def test_chain_counts_match_enumeration(system):
     # the one walk counter behind both: chains as paths in the chain
     # graph, normal words as walks in the automaton
@@ -665,3 +699,18 @@ def test_repeated_chain_word_is_caught(running):
     assert enumerate_chains(graph, 2, order)
     with pytest.raises(AssertionError, match="must be distinct"):
         enumerate_chains(doctored, 2, order)
+
+
+def test_chain_walk_out_of_order_is_caught(running):
+    pres, _, graph = running
+    order = MonomialOrder(pres.algebra.alphabet, [1, 1, 2])
+    doctored = copy.copy(graph)
+    # xx also steps to y, a prefix of its target yx: its targets are no
+    # longer a prefix code. No degree-4 run then holds one word twice in
+    # a row, so only the order of the runs shows it
+    doctored.edges = dict(graph.edges)
+    xx = (0, 0)
+    doctored.edges[xx] = graph.edges[xx] + (((1,), None),)
+    assert enumerate_chains(graph, 4, order)
+    with pytest.raises(AssertionError, match="must be distinct"):
+        enumerate_chains(doctored, 4, order)
