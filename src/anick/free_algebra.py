@@ -145,6 +145,8 @@ def words_up_to_weight(alphabet, order, max_weight):
     """All words of weight <= max_weight, ascending by the order key: a
     depth-first walk that pops the highest letter first lists the words
     of each weight in descending tuple order."""
+    if alphabet != order.alphabet:
+        raise ValueError("order alphabet mismatch")
     out, wts = [], []
     stack = [((), 0)]
     while stack:

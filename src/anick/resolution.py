@@ -95,11 +95,10 @@ class ResolutionEngine:
         self.field = self.algebra.field
         self.p = self.field.characteristic
         self.obstruction_set = obstructions(rewrite_system)
-        self._chains = {0: [identity_chain()]}  # degree -> chains(degree)
+        # degree -> _basis(degree); k in degree -1 has the identity chain
+        self._chains = {-1: [identity_chain()], 0: [identity_chain()]}
         self._counts = []  # chain counts of degrees 0, 1, ... read so far
-        # degree -> {chain word: position in chains(degree)}; the empty
-        # word names k's one term in degree -1
-        self._positions = {-1: {(): 0}}
+        self._positions = {}  # degree -> {chain word: position}
         # _d[n] lists d_n over chains(n); d_0 sends [1 | 1] to k's unit
         self._d = [[ModuleElement(-1, {(0, ()): self.field.one}, self.field)]]
 
@@ -138,13 +137,20 @@ class ResolutionEngine:
         return self.graph.iter_chain_counts()
 
     def chains(self, degree):
-        """The chains of one degree, ascending; a term's position indexes
-        this list. Only the degrees asked for are cached; each grows from
-        the highest one cached below, once _require_listable passes."""
+        """The chains of degree n >= 0, ascending; _basis lists them."""
         if degree < 0:
             raise ValueError("negative degree")
+        return self._basis(degree)
+
+    def _basis(self, degree):
+        """The chains a term's position indexes in any degree >= -1:
+        chains(degree), and the identity chain for k in degree -1. Only
+        the degrees asked for are cached; each grows from the highest one
+        cached below, once _require_listable passes."""
         cs = self._chains.get(degree)
         if cs is None:
+            if degree < -1:
+                raise ValueError("negative degree")
             self._require_listable(degree)
             below = degree - 1
             while below not in self._chains:
@@ -166,21 +172,24 @@ class ResolutionEngine:
         require_listable(counts[degree], "degree-%d chains" % degree)
 
     def _position(self, degree):
-        """{chain word: position in chains(degree)} over one degree."""
+        """{chain word: position in _basis(degree)} over one degree."""
         pos = self._positions.get(degree)
         if pos is None:
             pos = self._positions[degree] = {
-                c.word: i for i, c in enumerate(self.chains(degree))}
+                c.word: i for i, c in enumerate(self._basis(degree))}
         return pos
 
-    def _basis_chains(self, degree):
-        """The chains a term's position indexes: chains(degree), and the
-        identity chain for k in degree -1."""
-        return (identity_chain(),) if degree == -1 else self.chains(degree)
+    def _chain_position(self, degree, word):
+        """Position of a chain word in _basis(degree); ValueError if none."""
+        i = self._position(degree).get(word)
+        if i is None:
+            raise ValueError("%s is not a degree-%d chain"
+                             % (self.algebra.word_str(word), degree))
+        return i
 
     def chain_with_word(self, degree, word):
         i = self._position(degree).get(tuple(word))
-        return None if i is None else self.chains(degree)[i]
+        return None if i is None else self._basis(degree)[i]
 
     # ---- element constructors ----
 
@@ -198,24 +207,16 @@ class ResolutionEngine:
         the empty identity chain names k's one term in degree -1. A chain
         that is not of that degree raises ValueError.
         """
-        positions = self._position(degree)
         out = {}
         for chain, word, coeff in items:
-            i = positions.get(chain.word)
-            if i is None:
-                raise ValueError("%s is not a degree-%d chain"
-                                 % (self.algebra.word_str(chain.word), degree))
+            i = self._chain_position(degree, chain.word)
             unit = ModuleElement(degree, {(i, ()): self.field.one}, self.field)
             self._act_into(out, unit, self._word(word), self.field(coeff))
         return ModuleElement(degree, out, self.field)
 
     def basis_element(self, degree, chain_word, word="1", coeff=1):
-        chain_word = self._word(chain_word)
-        chain = self.chain_with_word(degree, chain_word)
-        if chain is None:
-            raise ValueError("%s is not a degree-%d chain word"
-                             % (self.algebra.word_str(chain_word), degree))
-        return self.element(degree, [(chain, word, coeff)])
+        i = self._chain_position(degree, self._word(chain_word))
+        return self.element(degree, [(self._basis(degree)[i], word, coeff)])
 
     # ---- order on the tensor basis ----
 
@@ -223,14 +224,14 @@ class ResolutionEngine:
         """The order key of the word of a degree term: its chain word
         followed by its normal word."""
         i, word = term
-        return self.order.key(self._basis_chains(degree)[i].word + word)
+        return self.order.key(self._basis(degree)[i].word + word)
 
     def _descending_key(self, degree):
         """term -> the descending key of its word, chain word + normal
         word, over the terms of one degree: the least sorts first and
         leads. No two terms of one degree share a word, since no chain
         word of a degree is a proper prefix of another."""
-        cs = self._basis_chains(degree)
+        cs = self._basis(degree)
         dk = self.order.descending_key
         return lambda term: dk(cs[term[0]].word + term[1])
 
@@ -311,10 +312,7 @@ class ResolutionEngine:
         n = chain.degree
         if n < 1:
             raise ValueError("no differential below degree 1")
-        i = self._position(n).get(chain.word)
-        if i is None:
-            raise ValueError("%s is not a degree-%d chain"
-                             % (self.algebra.word_str(chain.word), n))
+        i = self._chain_position(n, chain.word)
         return self._differentials(n)[i]
 
     def _differentials(self, n):
@@ -445,7 +443,7 @@ class ResolutionEngine:
         none is a proper prefix of another. Raises NotInKernel when none
         fits: on a cycle every leading term has a step."""
         i, w = term
-        chain = self.chains(n)[i]
+        chain = self._basis(n)[i]
         for t, _ in self.graph.edges[chain.node]:
             if w[:len(t)] == t:
                 return self._position(n + 1)[chain.word + t], w[len(t):]
@@ -506,7 +504,7 @@ class ResolutionEngine:
         """Render with terms descending: coeff·[chainword | normalword]."""
         ws = self.algebra.word_str
         one = self.field.one
-        cs = self._basis_chains(elem.degree)
+        cs = self._basis(elem.degree)
         keyf = self._descending_key(elem.degree)
 
         def body(term, mag):

@@ -12,9 +12,14 @@ import pathlib
 import random
 import time
 
+import pytest
+
 import anick
 from anick.cli import main as cli_main
 from test_wordops import is_antichain
+
+# every criterion asserts its runtime against a limit
+pytestmark = pytest.mark.timed
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNNING = ROOT / "presentations" / "running_example.json"

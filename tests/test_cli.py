@@ -190,6 +190,26 @@ def test_complete_deriving_one_letter_rule_exits_4(capsys, tmp_path):
                        "relating it to lower terms\n")
 
 
+def test_leading_words_not_an_antichain_exit_4(capsys, tmp_path):
+    # x*x divides x*x*y: the rules are confluent, so gb-check accepts them,
+    # but their leading words are no anti-chain, which the commands that
+    # read the obstructions need; --complete interreduces x*x*y away
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relations": ["x*x", "x*x*y"]}))
+    code, out, _ = run(capsys, "gb-check", str(path))
+    assert code == 0 and out.startswith("status: verified\n")
+    for command, *rest in (("chains", "--degree", "2"), ("normal-words",),
+                           ("obstructions",)):
+        code, out, err = run(capsys, command, str(path), *rest)
+        assert code == 4
+        assert not out
+        assert err == "error: rule leading monomials are not an anti-chain\n"
+    code, out, _ = run(capsys, "chains", str(path), "--complete",
+                       "--degree", "2")
+    assert (code, out) == (0, "xx\n")
+
+
 def test_gb_complete(capsys):
     code, out, _ = run(capsys, "gb-complete", NONCONFLUENT)
     assert code == 0

@@ -273,6 +273,7 @@ def test_parse_matches_reference(field):
                 _parse_outcome(lambda t: reference_parse(A, t), text), text
 
 
+@pytest.mark.timed
 def test_parse_is_linear():
     # 64,000 distinct terms, 1.3 MB: quadratic when each term copies the sum
     A = FreeAlgebra(Alphabet(["w", "x", "y", "z"]))
@@ -320,6 +321,7 @@ def test_prime_test_matches_trial_division():
         [n for n in range(10 ** 4) if _trial_division_is_prime(n)]
 
 
+@pytest.mark.timed
 def test_prime_modulus_check_is_fast_and_exact():
     t0 = time.perf_counter()
     assert anick.GF(1000000000000000003).p == 1000000000000000003

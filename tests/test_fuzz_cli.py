@@ -10,6 +10,7 @@ import io
 import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +108,7 @@ commands = st.one_of(
               st.sampled_from([[], ["--complete"]])))
 
 
+@pytest.mark.timed
 @settings(max_examples=300, deadline=timedelta(seconds=2))
 @given(text=documents(), command=commands,
        max_degree=st.integers(-1, 6), fmt=st.sampled_from(["text", "json"]))

@@ -138,6 +138,10 @@ INPUT_CHECKS = {
                    anick.ZeroPolynomial, "cannot normalize"),
     "misplaced +": (lambda: FreeAlgebra(Alphabet(["x", "y"])).parse(
         "x - + y"), ValueError, r"misplaced \+"),
+    "generators not a list": (
+        lambda: Presentation.from_json({"generators": "xy",
+                                        "relations": ["x*y"]}),
+        InvalidPresentation, "generators must be a list of strings"),
     "augmentation not a mapping": (
         lambda: make_presentation(["x"], ["x*x"], ["x"]),
         InvalidPresentation, "augmentation must be an object"),
@@ -684,6 +688,7 @@ def test_normal_form_cache_holds_every_word_met(system, data):
         assert nf == reference_normal_form_word(rs, u)
 
 
+@pytest.mark.timed
 def test_long_rewrite_chain(idempotent_presentation):
     rs = RewriteSystem.from_presentation(idempotent_presentation)
     x = idempotent_presentation.algebra.word("x")

@@ -40,6 +40,7 @@ def test_inv(field, cases):
     assert field != anick.GF(5) and field != field.to_json()
 
 
+@pytest.mark.timed
 def test_coefficient_strings_outside_the_grammar_raise_at_once():
     # Fraction alone would expand "1e400000" into a 1.3-million-bit int;
     # a field takes an integer or p/q with an optional sign, and nothing else
