@@ -31,9 +31,10 @@ class ObstructionSet:
 
 
 def _check_antichain(automaton):
-    pairs = automaton.nested_pairs()
-    if pairs:
-        i, j = pairs[0]
+    """Raise NotAnAntichain, naming the first nested pair, unless the
+    automaton's patterns form an anti-chain."""
+    if not automaton.antichain:
+        i, j = automaton.nested_pairs()[0]
         words = automaton.patterns
         raise NotAnAntichain("%r is a subword of %r" % (words[i], words[j]))
 

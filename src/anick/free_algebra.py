@@ -84,8 +84,8 @@ class MonomialOrder:
     the sum over the letters otherwise.
 
     Words of one weight are never prefixes of one another, so among them
-    ascending key is descending tuple order. The listings walk each weight
-    in tuple order and join the runs with weight_runs, with no sort.
+    ascending key is descending tuple order. The listings build or walk
+    each weight in tuple order and join the weights in turn, with no sort.
     """
 
     def __init__(self, alphabet, weights=None):
@@ -142,22 +142,23 @@ def weight_runs(items, weights):
 
 
 def words_up_to_weight(alphabet, order, max_weight):
-    """All words of weight <= max_weight, ascending by the order key: a
-    depth-first walk that pops the highest letter first lists the words
-    of each weight in descending tuple order."""
+    """All words of weight <= max_weight, ascending by the order key, built
+    one weight level at a time. Level k lists, for each letter a of
+    weight at most k in descending index, a followed by every word of
+    level k - wt(a). Each level then comes out in descending tuple order,
+    which is ascending key among words of one weight, so the levels need
+    only be joined in turn, with no sort."""
     if alphabet != order.alphabet:
         raise ValueError("order alphabet mismatch")
-    out, wts = [], []
-    stack = [((), 0)]
-    while stack:
-        w, wt = stack.pop()
-        out.append(w)
-        wts.append(wt)
-        for i, e in enumerate(order.weights):
-            nwt = wt + e
-            if nwt <= max_weight:
-                stack.append((w + (i,), nwt))
-    return [w for run in weight_runs(out, wts) for w in run]
+    heads = [((a,), e) for a, e in enumerate(order.weights)][::-1]
+    levels = [[()]]
+    for k in range(1, max_weight + 1):
+        level = []
+        for head, e in heads:
+            if e <= k:
+                level += map(head.__add__, levels[k - e])
+        levels.append(level)
+    return [w for level in levels for w in level]
 
 
 def axpy(acc, items, c, p):

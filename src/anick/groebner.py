@@ -182,8 +182,9 @@ class RewriteSystem:
 
     @cached_property
     def minimal(self):
-        """True when no leading word is a subword of another."""
-        return not self.automaton().nested_pairs()
+        """True when no leading word is a subword of another: the
+        automaton's anti-chain flag."""
+        return self.automaton().antichain
 
     @cached_property
     def reduced(self):

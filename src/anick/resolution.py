@@ -183,8 +183,9 @@ class ResolutionEngine:
         """Position of a chain word in _basis(degree); ValueError if none."""
         i = self._position(degree).get(word)
         if i is None:
-            raise ValueError("%s is not a degree-%d chain"
-                             % (self.algebra.word_str(word), degree))
+            raise ValueError("%s is not a %s chain" % (
+                self.algebra.word_str(word),
+                ("degree-%d" if degree >= 0 else "degree %d") % degree))
         return i
 
     def chain_with_word(self, degree, word):
@@ -478,20 +479,33 @@ class ResolutionEngine:
         keyed in row-major order, and nonzero is bool(entries). The row
         index is the position i of each term (i, w) of d_n, the column
         index the position of the n-chain.
+
+        eps of a term (i, w) is its coefficient times eps(w), and one
+        normal word recurs in many terms and degrees, so eps(w) is worked
+        out once per distinct word of the call.
         """
         if max_degree < 1:
             raise ValueError("nothing to diagnose below degree 1")
         self._require_listable(max_degree)
         word_eval = self.presentation.word_eval
+        p = self.p
+        eps = {}
         out = {}
         for n in range(1, max_degree + 1):
             rows = self.chains(n - 1)
             cols = self.chains(n)
             entries = {}
             for j, d in enumerate(self._differentials(n)):
-                vals = ((i, coeff * word_eval(w))
-                        for (i, w), coeff in d.terms.items())
-                axpy(entries, (((i, j), v) for i, v in vals if v), 1, self.p)
+                for (i, w), coeff in d.terms.items():
+                    e = eps.get(w)
+                    if e is None:
+                        e = eps[w] = word_eval(w)
+                    if e:
+                        v = entries.pop((i, j), 0) + coeff * e
+                        if p:
+                            v %= p
+                        if v:
+                            entries[i, j] = v
             out[n] = {"rows": [c.word for c in rows],
                       "cols": [c.word for c in cols],
                       "entries": dict(sorted(entries.items())),

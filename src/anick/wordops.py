@@ -35,6 +35,14 @@ class NormalWordAutomaton:
     Pattern indices follow the list; duplicated and empty patterns keep
     their own indices. A letter that no pattern uses leads back to the
     root, so only language and the counts need the alphabet size.
+
+    antichain is True when no pattern is a subword of a pattern at
+    another index, a duplicate included: exactly when every state where
+    a pattern ends is a leaf of the trie and only that one pattern ends
+    there. A pattern inside another ends at a state on the other's trie
+    path, before its leaf or at it, so the test reads each state once
+    and needs no pairwise comparison. On an anti-chain, first_match
+    stops at the first occurrence it completes.
     """
 
     def __init__(self, patterns):
@@ -76,10 +84,18 @@ class NormalWordAutomaton:
         self.out = out
         self.fail = fail
         self.through = through
+        self.antichain = all(not ks or (len(ks) == 1 and not kids)
+                             for ks, kids in zip(out, children))
 
     def first_match(self, w):
         """Leftmost occurrence in w as (pos, pattern_index), ties toward the
-        lowest index; (-1, -1) when nothing matches."""
+        lowest index; (-1, -1) when nothing matches.
+
+        On an anti-chain the first occurrence the scan completes is the
+        answer, and the scan stops there: an occurrence that started
+        earlier would end at or after it and so contain it. Otherwise the
+        scan goes on while a later-ending occurrence could still start at
+        or before the best one found."""
         goto, out = self.goto, self.out
         s = 0
         j = 0
@@ -90,6 +106,9 @@ class NormalWordAutomaton:
             s = goto[s].get(w[j], 0)
             j += 1
         lengths = self.lengths
+        if self.antichain:
+            k = out[s][0]
+            return (j - lengths[k], k)
         best = min((j - lengths[k], k) for k in out[s])
         # a later-ending occurrence can start at or before best only while
         # it ends within the longest pattern's length of that start
@@ -133,7 +152,7 @@ class NormalWordAutomaton:
 
     def nested_pairs(self):
         """Sorted (i, j) with i != j and pattern i a subword of pattern j.
-        Empty exactly when the patterns form an anti-chain."""
+        Empty exactly when antichain is True."""
         return sorted({(i, j) for j, w in enumerate(self.patterns)
                        for _, i in self.all_matches(w) if i != j})
 

@@ -253,7 +253,9 @@ def test_k_is_the_basis_of_degree_minus_one():
              "tt is not a degree-1 chain"),
             (lambda: eng.basis_element(2, "s"), "s is not a degree-2 chain"),
             (lambda: eng.differential(anick.Chain(2, st, st[1:])),
-             "st is not a degree-2 chain")):
+             "st is not a degree-2 chain"),
+            (lambda: eng.basis_element(-1, "s"),
+             "s is not a degree -1 chain")):
         with pytest.raises(ValueError, match="^%s$" % message):
             call()
     assert len(eng._d) == 1  # differential looked up before building d_1
@@ -735,6 +737,28 @@ def test_minimality_diagnostic(running_engine):
         (4, "xxyxxyx", "xxyxxxyx"): 1,
         (4, "xxyxxyx", "xxxyxxyx"): -1,
     }
+
+
+@pytest.mark.parametrize("path", ["s3_group_gf3.json", "running_example.json",
+                                  "groups/klein4_gf2.json",
+                                  "skew_poly3.json"])
+def test_minimality_diagnostic_is_eps_term_by_term(path):
+    # eps(d_n) summed one term at a time, each word evaluated afresh
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / path))
+    word_eval = eng.presentation.word_eval
+    diag = eng.minimality_diagnostic(6)
+    assert sorted(diag) == list(range(1, 7))
+    for n, d in diag.items():
+        entries = {}
+        for j, chain in enumerate(eng.chains(n)):
+            for (i, w), c in eng.differential(chain).terms.items():
+                entries[i, j] = eng.field(entries.get((i, j), 0)
+                                          + c * word_eval(w))
+        assert d["entries"] == {k: v for k, v in sorted(entries.items()) if v}
+        assert d["nonzero"] == any(entries.values())
+        assert d["rows"] == [c.word for c in eng.chains(n - 1)]
+        assert d["cols"] == [c.word for c in eng.chains(n)]
 
 
 def test_monomial_algebra_is_minimal():

@@ -3,6 +3,9 @@
 import random
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from anick import NormalWordAutomaton
 
 
@@ -135,3 +138,51 @@ def test_edge_cases_match_reference():
     ]
     for w, pats in cases:
         check_against_reference(w, pats)
+
+
+@st.composite
+def nested_pattern_lists(draw):
+    """Pattern lists over three letters, half of them anti-chains and half
+    with patterns inside others, duplicates or the empty pattern, and a
+    word made from them."""
+    letters = st.integers(0, 2)
+    pats = draw(st.lists(st.lists(letters, min_size=1, max_size=4).map(tuple),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # the shortest patterns first, each kept unless one kept is in it
+        kept = []
+        for u in sorted(set(pats), key=len):
+            if all(ref_find_subword(u, v) is None for v in kept):
+                kept.append(u)
+        return draw(st.permutations(kept)), draw(words_from(kept))
+    base = list(pats)
+    for _ in range(draw(st.integers(1, 3))):
+        # a subword of a pattern, the pattern itself included, or the
+        # empty pattern
+        u = draw(st.sampled_from(base))
+        i = draw(st.integers(0, len(u) - 1))
+        j = draw(st.integers(i + 1, len(u)))
+        if draw(st.integers(0, 3)) == 0:
+            i = j
+        pats.insert(draw(st.integers(0, len(pats))), u[i:j])
+    return pats, draw(words_from(pats))
+
+
+def words_from(pats):
+    """Words joined from patterns and short runs of letters."""
+    pieces = st.one_of(st.sampled_from(pats),
+                       st.lists(st.integers(0, 2), max_size=3).map(tuple))
+    return st.lists(pieces, max_size=4).map(
+        lambda ps: tuple(a for p in ps for a in p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_pattern_lists())
+def test_antichain_flag_and_first_match(case):
+    # the flag read off the trie is the pairwise test, and on either side
+    # of it first_match is the leftmost, lowest-index occurrence
+    pats, w = case
+    aut = NormalWordAutomaton(pats)
+    assert aut.antichain == (not aut.nested_pairs())
+    occ = ref_occurrences(w, pats)
+    assert aut.first_match(w) == (occ[0] if occ else (-1, -1))
