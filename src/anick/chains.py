@@ -152,7 +152,13 @@ class ChainGraph:
     prefix of t. No node holds an obstruction, and no two occurrences
     end at one position, so a second one in st starts in s and ends
     inside t, at a shorter rest. Prechains follow every overlap rest and
-    chains the shortest ones; targets are sorted as the nodes are.
+    chains the shortest ones.
+
+    edges maps each node to its (target, witness) pairs, sorted as the
+    nodes are; the witness of a root edge is None. targets maps each node
+    to its targets alone, in walk order, descending tuple order: every
+    walk over the graph reads them, and only listings of the edges read
+    edges.
     """
 
     def __init__(self, obstruction_set, alphabet):
@@ -175,6 +181,8 @@ class ChainGraph:
             edges[s] = tuple(e for e in found if not any(
                 e[0][:m] in rests for m in lengths if m < len(e[0])))
         self.edges = edges
+        self.targets = {s: tuple(sorted((t for t, _ in es), reverse=True))
+                        for s, es in edges.items()}
 
     def chain_counts(self, degree):
         """The number of chains of each degree 0..degree."""
@@ -185,8 +193,7 @@ class ChainGraph:
     def iter_chain_counts(self):
         """The number of chains of each degree 0, 1, 2, ..., lazily: the
         paths from the root, counted without listing them."""
-        return walk_counts({s: [t for t, _ in es]
-                            for s, es in self.edges.items()}, ())
+        return walk_counts(self.targets, ())
 
     def reachable(self):
         """Nodes reachable from the root."""
@@ -194,7 +201,7 @@ class ChainGraph:
         stack = [()]
         while stack:
             s = stack.pop()
-            for t, _ in self.edges.get(s, ()):
+            for t in self.targets[s]:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -224,9 +231,12 @@ def build_chain_graph(obstruction_set, alphabet):
 def enumerate_chains(graph, degree, order, below=None):
     """The chains of the given degree, ascending by order, the monomial
     order of the presentation the graph was built from: the paths of that
-    length from the root, or all extensions of below, chains of a single
-    lower degree. A walk over (word, node) pairs, where the edge node -> t
-    extends word by t; only its last step builds Chain records.
+    length from the root, or all extensions of below, chains of one degree
+    m < degree; ValueError otherwise. A walk over (word, node) pairs,
+    where the edge node -> t extends word by t, along graph.targets; only
+    its last step builds Chain records. A chain's prefixes are chains, so
+    a walk whose level empties has no chains in any later degree either,
+    and it returns [] at once.
 
     The result needs no sort. The chain words of a degree form a prefix
     code, and so do the targets of a node, so extending the words of a
@@ -238,15 +248,19 @@ def enumerate_chains(graph, degree, order, below=None):
         below = [identity_chain()]
         if degree == 0:
             return below
-    targets = {s: sorted((t for t, _ in es), reverse=True)
-               for s, es in graph.edges.items()}
+    degrees = {c.degree for c in below}
+    if len(degrees) > 1 or max(degrees, default=-1) >= degree:
+        raise ValueError("below holds chains of degrees %s, not of one "
+                         "degree under %d" % (sorted(degrees), degree))
+    targets = graph.targets
     word_of = attrgetter("word")
     # below ascends by order: its weight runs each descend, so this merges
     level = [(c.word, c.node)
              for c in sorted(below, key=word_of, reverse=True)]
-    # no chain extends an empty list, so it takes one step to no chains
-    m = below[0].degree if below else degree - 1
-    for _ in range(degree - m - 1):
+    # an empty below has no degree, and any will do: its walk ends at once
+    for _ in range(degree - 1 - max(degrees, default=0)):
+        if not level:
+            return []
         level = [(word + t, t) for word, node in level
                  for t in targets[node]]
     out = [Chain(degree, word + t, t) for word, node in level

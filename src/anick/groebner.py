@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, takewhile
 
 from .errors import BoundExceeded, InvalidPresentation, require_listable
 from .fields import field_from_json
@@ -294,11 +294,14 @@ class RewriteSystem:
         then alphabetically, by construction: the automaton lists them in
         ascending tuple order and weight_runs joins them by weight. Before
         any listing, BoundExceeded names the least n <= max_length with
-        more than MAX_ITEMS normal words of length at most n."""
+        more than MAX_ITEMS normal words of length at most n. Counting
+        stops at the first length with no normal words: a normal word's
+        prefixes are normal, so no longer one exists."""
         if max_length < 0:
             raise ValueError("max_length must be nonnegative")
         counts = self.automaton().iter_counts(len(self.algebra.alphabet))
-        for n, total in zip(range(max_length + 1), accumulate(counts)):
+        for n, total in zip(range(max_length + 1),
+                            accumulate(takewhile(bool, counts))):
             require_listable(total, "normal words of length at most %d" % n)
         out = self.automaton().language(max_length,
                                         len(self.algebra.alphabet))

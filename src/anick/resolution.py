@@ -75,7 +75,7 @@ class DegreeReport:
 class ResolutionEngine:
     """Computes differentials d_n and contracting homotopies i_n over the
     chain bases of a verified minimal rewrite system. Each lift step
-    follows one edge of the chain graph, the edges enumerate_chains walks.
+    follows one edge of the chain graph, out of graph.targets.
 
     Differentials are cached one whole degree at a time, in ascending
     degree order. The lifts that build one degree share one step table
@@ -146,13 +146,15 @@ class ResolutionEngine:
         """The chains a term's position indexes in any degree >= -1:
         chains(degree), and the identity chain for k in degree -1. Only
         the degrees asked for are cached; each grows from the highest one
-        cached below, once _require_listable passes."""
+        cached below, once _require_listable passes. Past the first
+        degree with no chains, where counting stopped, the walk starts at
+        most there, and its end rule returns no chains."""
         cs = self._chains.get(degree)
         if cs is None:
             if degree < -1:
                 raise ValueError("negative degree")
             self._require_listable(degree)
-            below = degree - 1
+            below = min(degree, len(self._counts)) - 1
             while below not in self._chains:
                 below -= 1
             cs = self._chains[degree] = enumerate_chains(
@@ -162,10 +164,14 @@ class ResolutionEngine:
     def _require_listable(self, degree):
         """Raise BoundExceeded, before any listing, for the first degree up
         to this one with more chains than the cap. One lazy counter serves
-        every call, and no degree past one over the cap is counted."""
+        every call, and no degree past one over the cap is counted, nor
+        past the first with no chains: a chain's prefixes are chains, so
+        no later degree has any."""
         counts = self._counts
         while len(counts) <= degree:
             if counts:
+                if not counts[-1]:
+                    return
                 require_listable(counts[-1],
                                  "degree-%d chains" % (len(counts) - 1))
             counts.append(next(self._walks))
@@ -436,16 +442,16 @@ class ResolutionEngine:
 
     def _lift_step(self, n, term):
         """The out-term (j, tail) of the lift step led by the degree-n term
-        (i, w): the out-edge of chain i's node in the chain graph whose
-        target t starts w, an edge enumerate_chains walks, extends chain i
-        to the degree n+1 chain j, and the tail is the rest of w; for n = 0
-        it is the root's edge to the first letter. At most one edge fits:
-        the targets are the node's shortest overlap rests (ChainGraph), so
-        none is a proper prefix of another. Raises NotInKernel when none
-        fits: on a cycle every leading term has a step."""
+        (i, w): the target t of chain i's node in graph.targets that starts
+        w extends chain i to the degree n+1 chain j, and the tail is the
+        rest of w; for n = 0 it is the root's target, the first letter. At
+        most one target fits: the targets are the node's shortest overlap
+        rests (ChainGraph), so none is a proper prefix of another. Raises
+        NotInKernel when none fits: on a cycle every leading term has a
+        step."""
         i, w = term
         chain = self._basis(n)[i]
-        for t, _ in self.graph.edges[chain.node]:
+        for t in self.graph.targets[chain.node]:
             if w[:len(t)] == t:
                 return self._position(n + 1)[chain.word + t], w[len(t):]
         raise NotInKernel(self.algebra.word_str(chain.word + w))

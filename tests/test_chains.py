@@ -674,6 +674,7 @@ def test_engine_chains_grow_from_the_degree_below(system, data):
     eng = ResolutionEngine.from_presentation(
         Presentation(algebra, [algebra.poly({w: 1}) for w in words]))
     graph, obs = eng.graph, eng.obstruction_set
+    assert_targets_in_walk_order(graph)
     asked = data.draw(st.permutations(range(7)))
     for k, degree in enumerate(asked):
         chains = eng.chains(degree)
@@ -682,6 +683,63 @@ def test_engine_chains_grow_from_the_degree_below(system, data):
         for c in chains:
             assert is_chain_top_down(c.word, degree, obs) is not None
         assert set(eng._chains) == {-1, 0, *asked[:k + 1]}
+
+
+def assert_targets_in_walk_order(graph):
+    # every walk reads graph.targets: the targets of each node's edges, in
+    # descending tuple order
+    assert graph.targets.keys() == graph.edges.keys() == set(graph.nodes)
+    for s, es in graph.edges.items():
+        assert graph.targets[s] == tuple(sorted((t for t, _ in es),
+                                                reverse=True)), s
+
+
+@pytest.mark.parametrize("name", sorted(
+    str(p.relative_to(ROOT / "presentations"))
+    for p in (ROOT / "presentations").rglob("*.json")))
+def test_targets_are_the_edges_in_walk_order(name):
+    pres = Presentation.load(ROOT / "presentations" / name)
+    rs = RewriteSystem.from_presentation(pres)
+    if not rs.minimal or not anick.check_groebner(
+            rs, rs.max_ambiguity_weight()).ok:
+        rs = complete(rs, 8)
+    assert_targets_in_walk_order(
+        build_chain_graph(obstructions(rs), pres.algebra.alphabet))
+
+
+def test_below_holds_chains_of_one_lower_degree():
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(ROOT / "presentations" / "s3_group.json"))
+    graph, order = eng.graph, eng.order
+    # below at the degree asked, above it, or of mixed degrees
+    for degree, below in [(0, [identity_chain()]), (2, eng.chains(2)),
+                          (2, eng.chains(3)),
+                          (3, eng.chains(1) + eng.chains(2)),
+                          (1, [Chain(1, (0,), (0,)), identity_chain()])]:
+        with pytest.raises(ValueError, match="not of one degree under %d"
+                           % degree):
+            enumerate_chains(graph, degree, order, below)
+    # chains of one lower degree, or none, are what below may hold
+    assert enumerate_chains(graph, 3, order, eng.chains(1)) == eng.chains(3)
+    assert enumerate_chains(graph, 3, order, eng.chains(1)[:1]) == \
+        [c for c in eng.chains(3) if c.word[:1] == eng.chains(1)[0].word]
+    assert enumerate_chains(graph, 1, order, []) == []
+    assert enumerate_chains(graph, 4, order, []) == []
+
+
+def test_chains_end_at_the_first_degree_without_any():
+    # poly4 has chains in degrees 0..4 only; a chain's prefixes are
+    # chains, so counting stops at degree 5 and every walk past it ends
+    # there, however high the degree asked for
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(ROOT / "presentations" / "poly4.json"))
+    assert eng.chains(10 ** 9) == []
+    assert eng._counts == [1, 4, 6, 4, 1, 0]
+    assert eng.chains(7) == [] and eng.chains(5) == []
+    assert len(eng.chains(4)) == 1
+    assert eng.chains(10 ** 8) == []
+    assert enumerate_chains(eng.graph, 10 ** 9, eng.order) == []
+    assert set(eng._chains) == {-1, 0, 4, 5, 7, 10 ** 8, 10 ** 9}
 
 
 def test_chain_counts_far_out():
@@ -700,10 +758,11 @@ def test_repeated_chain_word_is_caught(running):
     pres, _, graph = running
     order = MonomialOrder(pres.algebra.alphabet, [1, 2, 1])
     doctored = copy.copy(graph)
-    # one edge out of x twice: two degree-2 chains spell the same word
-    doctored.edges = dict(graph.edges)
+    # one target of x twice in a row: two degree-2 chains spell the same
+    # word
+    doctored.targets = dict(graph.targets)
     x = (0,)
-    doctored.edges[x] = graph.edges[x] + graph.edges[x][:1]
+    doctored.targets[x] = graph.targets[x][:1] + graph.targets[x]
     assert enumerate_chains(graph, 2, order)
     with pytest.raises(AssertionError, match="must be distinct"):
         enumerate_chains(doctored, 2, order)
@@ -713,12 +772,14 @@ def test_chain_walk_out_of_order_is_caught(running):
     pres, _, graph = running
     order = MonomialOrder(pres.algebra.alphabet, [1, 1, 2])
     doctored = copy.copy(graph)
-    # xx also steps to y, a prefix of its target yx: its targets are no
-    # longer a prefix code. No degree-4 run then holds one word twice in
-    # a row, so only the order of the runs shows it
-    doctored.edges = dict(graph.edges)
+    # xx also steps to y, a prefix of its target yx: its targets, still
+    # in descending tuple order, are no longer a prefix code. No degree-4
+    # run then holds one word twice in a row, so only the order of the
+    # runs shows it
+    doctored.targets = dict(graph.targets)
     xx = (0, 0)
-    doctored.edges[xx] = graph.edges[xx] + (((1,), None),)
+    doctored.targets[xx] = tuple(sorted(graph.targets[xx] + ((1,),),
+                                        reverse=True))
     assert enumerate_chains(graph, 4, order)
     with pytest.raises(AssertionError, match="must be distinct"):
         enumerate_chains(doctored, 4, order)

@@ -791,6 +791,17 @@ def test_verify_is_fast_at_high_degrees(name, degree):
     assert took < 1.0
 
 
+# poly4.json has no chains above degree 4, and a chain's prefixes are
+# chains, so counting stops at degree 5 and the walk ends there; counting
+# every degree took about 12 s at 10^7 (2-core x86 VM)
+def test_chains_past_the_last_degree_are_fast():
+    proc, lines, took = _timed_main("chains", ROOT / "presentations" /
+                                    "poly4.json", "--degree", 10 ** 9)
+    assert proc.returncode == 0
+    assert lines == [""]  # no chains: an empty listing is one empty line
+    assert took < 1.0
+
+
 # completion resolves the ambiguities of one weight together, with one
 # echelon step, where adding one rule per round took about 28 s at weight
 # 14 (2-core x86 VM)

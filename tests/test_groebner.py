@@ -366,6 +366,9 @@ def test_normal_words_listing(running_rs, running_presentation):
                    "zx", "zy", "zz"]
 
 
+S3_NORMAL_WORDS = ["1", "s", "t", "st", "ts", "tst"]
+
+
 def test_normal_word_counts(running_rs):
     assert running_rs.count_normal_words(3) == [1, 3, 9, 25]
     # one normal word per element of S3: a finite language, so the count
@@ -373,6 +376,21 @@ def test_normal_word_counts(running_rs):
     s3 = RewriteSystem.from_presentation(
         Presentation.load(PRESENTATIONS / "s3_group.json"))
     assert s3.count_normal_words(6) == [1, 2, 2, 1, 0, 0, 0]
+    # and the listing stops at length 4, the first with no normal words
+    assert list(map(s3.algebra.word_str, s3.normal_words(50))) == \
+        S3_NORMAL_WORDS
+
+
+@pytest.mark.timed
+def test_normal_words_at_a_huge_length_are_fast():
+    # counting stops at length 4, the first with no normal words; counting
+    # every length up to the bound took about 0.8 s at 10^6 (2-core x86 VM)
+    s3 = RewriteSystem.from_presentation(
+        Presentation.load(PRESENTATIONS / "s3_group.json"))
+    t0 = time.perf_counter()
+    words = s3.normal_words(10 ** 8)
+    assert time.perf_counter() - t0 < 1.0
+    assert list(map(s3.algebra.word_str, words)) == S3_NORMAL_WORDS
 
 
 def test_counts_match_enumeration(running_rs):

@@ -823,18 +823,37 @@ GROUPS = {
 }
 
 
-def rank_mod_2(entries):
-    """The rank over GF(2) of the matrix with these nonzero entries."""
+def rank_mod_p(entries, field):
+    """The rank over the prime field GF(p), p read from field, of the
+    matrix with these {(row, column): value} entries."""
+    p = field.characteristic
     rows = {}
-    for i, j in entries:
-        rows[i] = rows.get(i, 0) ^ 1 << j
-    pivots = {}  # highest bit -> a reduced row
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = int(v) % p
+    pivots = {}  # leading column -> a reduced row with leading entry 1
     for r in rows.values():
-        while r and r.bit_length() in pivots:
-            r ^= pivots[r.bit_length()]
+        r = {j: v for j, v in r.items() if v}
+        while r and min(r) in pivots:
+            lead = min(r)
+            c = r[lead]
+            for j, v in pivots[lead].items():
+                r[j] = (r.get(j, 0) - c * v) % p
+            r = {j: v for j, v in r.items() if v}
         if r:
-            pivots[r.bit_length()] = r
+            lead = min(r)
+            inv = pow(r[lead], -1, p)
+            pivots[lead] = {j: v * inv % p for j, v in r.items()}
     return len(pivots)
+
+
+def betti_numbers(eng, top):
+    """dim Tor_n(k, k) for n = 0..top over a prime field: the chains of
+    degree n less the ranks of eps(d_n) and eps(d_n+1)."""
+    diag = eng.minimality_diagnostic(top + 1)
+    ranks = [0] + [rank_mod_p(diag[n]["entries"], eng.field)
+                   for n in range(1, top + 2)]
+    return [len(eng.chains(n)) - ranks[n] - ranks[n + 1]
+            for n in range(top + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -847,8 +866,49 @@ def test_group_algebras_over_gf2(name):
     assert all(r.ok for r in eng.verify_complex(6))
     diag = eng.minimality_diagnostic(7)
     assert [n for n in range(1, 7) if diag[n]["nonzero"]] == nonminimal
-    counts = [len(eng.chains(n)) for n in range(7)]
-    assert counts == (golden or betti)
-    # dim Tor_n = chains - rank eps(d_n) - rank eps(d_n+1)
-    ranks = [0] + [rank_mod_2(diag[n]["entries"]) for n in range(1, 8)]
-    assert [counts[n] - ranks[n] - ranks[n + 1] for n in range(7)] == betti
+    assert [len(eng.chains(n)) for n in range(7)] == (golden or betti)
+    assert betti_numbers(eng, 6) == betti
+
+
+def test_rank_mod_p():
+    # the rows (1, 2) and (2, 1) are proportional over GF(3) only; over
+    # GF(2) they read (1, 0) and (0, 1)
+    entries = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}
+    assert [rank_mod_p(entries, anick.GF(p)) for p in (2, 3, 5)] == [2, 1, 2]
+    assert rank_mod_p({(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1},
+                      anick.GF(2)) == 2
+    assert rank_mod_p({}, anick.GF(5)) == 0
+
+
+# ---- Betti numbers against group cohomology over GF(p) ----
+
+# file -> dim H^n(G; GF(p)) for n = 0..8 (Adem and Milgram, Cohomology of
+# Finite Groups, 2nd ed., 2004). Over GF(2), S3 has the cohomology of its
+# Sylow subgroup Z/2, 1 in every degree; over GF(3) that of Z/3 fixed by
+# the quotient Z/2, 1 in the degrees 0 and 3, 4 mod 4. Z/3 x Z/3 over
+# GF(3) has n + 1 in degree n.
+COHOMOLOGY = {
+    "s3_group_gf2.json": [1] * 9,
+    "s3_group_gf3.json": [1, 0, 0, 1, 1, 0, 0, 1, 1],
+    "groups/z3xz3_gf3.json": [n + 1 for n in range(9)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY))
+def test_betti_numbers_are_group_cohomology(name):
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / name))
+    assert betti_numbers(eng, 8) == COHOMOLOGY[name]
+
+
+def test_z3xz3_over_gf3_has_a_minimal_resolution():
+    # the normal words a^i b^j, i, j < 3, count the nine group elements,
+    # and the chains of degree n number n + 1, as H^n does
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / "groups" / "z3xz3_gf3.json"))
+    assert eng.rs.count_normal_words(6) == [1, 2, 3, 2, 1, 0, 0]
+    assert [len(eng.chains(n)) for n in range(9)] == \
+        [n + 1 for n in range(9)]
+    assert all(r.ok for r in eng.verify_complex(6))
+    assert not any(d["nonzero"]
+                   for d in eng.minimality_diagnostic(8).values())
