@@ -2,7 +2,7 @@
 the chain graph, and chain enumeration along its paths."""
 
 from itertools import islice
-from operator import attrgetter, gt
+from operator import attrgetter, gt, itemgetter
 
 from .errors import NotAnAntichain, NotAnOim, NotMinimal
 from .free_algebra import weight_runs
@@ -154,11 +154,18 @@ class ChainGraph:
     inside t, at a shorter rest. Prechains follow every overlap rest and
     chains the shortest ones.
 
+    One sorted scan finds them. In tuple order a rest comes after its
+    prefixes, and every rest between a prefix p and a rest that extends
+    p starts with p too. So a rest has a proper prefix among the rests
+    exactly when the last rest kept before it is one, and the scan keeps
+    a rest unless that kept rest is its prefix.
+
     edges maps each node to its (target, witness) pairs, sorted as the
     nodes are; the witness of a root edge is None. targets maps each node
     to its targets alone, in walk order, descending tuple order: every
     walk over the graph reads them, and only listings of the edges read
-    edges.
+    edges. Both come from the one kept list, targets reversed and edges
+    stably sorted by length.
     """
 
     def __init__(self, obstruction_set, alphabet):
@@ -166,23 +173,19 @@ class ChainGraph:
         self.alphabet = alphabet
         automaton = obstruction_set.automaton
         obs = obstruction_set.words
-        nodes = {(i,) for i in range(len(alphabet))}
+        letters = tuple((i,) for i in range(len(alphabet)))
+        nodes = set(letters)
         nodes.update(w[k:] for w in obs for k in range(1, len(w)))
-        ordered = [()] + sorted(nodes, key=lambda w: (len(w), w))
-        self.nodes = tuple(ordered)
-        edges = {(): tuple(((i,), None) for i in range(len(alphabet)))}
-        for s in ordered[1:]:
-            found = sorted(((t, obs[k]) for _, k, t in automaton.overlaps(s)),
-                           key=lambda edge: (len(edge[0]), edge[0]))
-            rests = {t for t, _ in found}
-            # a prefix of t can be a rest only at a rest's length; slicing
-            # at every length made the graph of x^n quartic in n
-            lengths = sorted({len(t) for t in rests})
-            edges[s] = tuple(e for e in found if not any(
-                e[0][:m] in rests for m in lengths if m < len(e[0])))
-        self.edges = edges
-        self.targets = {s: tuple(sorted((t for t, _ in es), reverse=True))
-                        for s, es in edges.items()}
+        self.nodes = ((),) + tuple(sorted(nodes, key=lambda w: (len(w), w)))
+        self.edges = {(): tuple((t, None) for t in letters)}
+        self.targets = {(): letters[::-1]}
+        for s in self.nodes[1:]:
+            kept = []
+            for _, k, t in sorted(automaton.overlaps(s), key=itemgetter(2)):
+                if not kept or t[:len(kept[-1][0])] != kept[-1][0]:
+                    kept.append((t, obs[k]))
+            self.targets[s] = tuple(t for t, _ in reversed(kept))
+            self.edges[s] = tuple(sorted(kept, key=lambda e: len(e[0])))
 
     def chain_counts(self, degree):
         """The number of chains of each degree 0..degree."""

@@ -147,9 +147,12 @@ def words_up_to_weight(alphabet, order, max_weight):
     weight at most k in descending index, a followed by every word of
     level k - wt(a). Each level then comes out in descending tuple order,
     which is ascending key among words of one weight, so the levels need
-    only be joined in turn, with no sort."""
+    only be joined in turn, with no sort. A negative max_weight raises
+    ValueError: the empty word weighs 0."""
     if alphabet != order.alphabet:
         raise ValueError("order alphabet mismatch")
+    if max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
     heads = [((a,), e) for a, e in enumerate(order.weights)][::-1]
     levels = [[()]]
     for k in range(1, max_weight + 1):

@@ -10,7 +10,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anick
@@ -466,6 +466,19 @@ def test_euler_identity_xyz():
                          6) == [1] + [0] * 6
 
 
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in (ROOT / "presentations" / "groups").glob("*.json")))
+def test_euler_identity_group_algebras(name):
+    # the group files are confluent as written, with every letter of
+    # weight 1; their normal words are finitely many, their chains are not
+    pres = Presentation.load(ROOT / "presentations" / "groups" / name)
+    rs = RewriteSystem.from_presentation(pres)
+    assert set(pres.algebra.order.weights) == {1}
+    graph = build_chain_graph(obstructions(rs), pres.algebra.alphabet)
+    assert euler_product(graph, pres.algebra.order, rs.automaton(),
+                         len(pres.algebra.alphabet), 8) == [1] + [0] * 8
+
+
 # ---- weight runs give the order of key, on weighted alphabets too ----
 
 @settings(max_examples=100, deadline=None)
@@ -550,6 +563,11 @@ def reference_prechains(obs, n):
 
 @settings(max_examples=150, deadline=None)
 @given(random_antichains())
+# most rests extend a shorter rest of the same node and must be dropped:
+# node x^k has the k rests x^j, j >= 30 - k, and keeps only the first;
+# (xy)^3 and (yx)^3 keep 10 of their 30 rests
+@example((1, [(0,) * 30]))
+@example((2, [(0, 1) * 3, (1, 0) * 3]))
 def test_graph_edges_match_reference(system):
     n, words = system
     obs = ObstructionSet(words)

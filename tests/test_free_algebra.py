@@ -146,6 +146,10 @@ def test_words_up_to_weight():
     ow = MonomialOrder(XY, weights=[1, 3])
     ws = words_up_to_weight(XY, ow, 3)
     assert set(ws) == {(), (0,), (0, 0), (0, 0, 0), (1,)}
+    assert words_up_to_weight(XY, o, 0) == [()]
+    # the empty word weighs 0, so no word weighs -1 or less
+    with pytest.raises(ValueError, match="max_weight must be nonnegative"):
+        words_up_to_weight(XY, o, -1)
 
 
 def test_polynomial_arithmetic():

@@ -806,7 +806,7 @@ def test_finite_field_resolution(running_presentation):
             assert eng.homotopy(n - 1, z) == eng.element(n, [(c, "1", 1)])
 
 
-# ---- group algebras of 2-groups over GF(2) ----
+# ---- group algebras over GF(2) ----
 
 # file -> (group order, normal words by length, dim H^n(G; GF(2)) for
 # n = 0..6, the degrees diagnose reports non-minimal, and the chain counts
@@ -814,12 +814,21 @@ def test_finite_field_resolution(running_presentation):
 # normal words span the group algebra, so they count the group. H^n is
 # Tor_n(k, k), which the ranks of the eps(d_n) give, an oracle apart from
 # the homotopy: a minimal resolution has as many chains as H^n has
-# dimensions.
+# dimensions. Q8 is periodic of period 4; A4 has the series
+# (1 + t^3)/((1 - t^2)(1 - t^3)) and S4 (1 + t^2)/((1 - t)(1 - t^3))
+# (Adem and Milgram, Cohomology of Finite Groups, 2nd ed., 2004). The
+# files of Q8, A4 and S4 hold their completed rules.
 GROUPS = {
     "klein4_gf2.json": (4, [1, 2, 1], [n + 1 for n in range(7)], [], None),
     "z4_gf2.json": (4, [1, 1, 1, 1], [1] * 7, [], None),
     "d8_gf2.json": (8, [1, 2, 2, 2, 1], [n + 1 for n in range(7)], [4, 5, 6],
                     [1, 2, 3, 5, 8, 12, 17]),
+    "q8_gf2.json": (8, [1, 2, 3, 2], [1, 2, 2, 1, 1, 2, 2], [3, 4, 5, 6],
+                    [1, 2, 6, 14, 39, 96, 257]),
+    "a4_gf2.json": (12, [1, 2, 3, 4, 2], [1, 0, 1, 2, 1, 2, 3],
+                    [2, 3, 4, 5, 6], [1, 2, 6, 16, 46, 128, 366]),
+    "s4_gf2.json": (24, [1, 3, 5, 6, 5, 3, 1], [1, 1, 2, 3, 3, 4, 5],
+                    [2, 3, 4, 5, 6], [1, 3, 7, 18, 49, 138, 397]),
 }
 
 
@@ -882,15 +891,17 @@ def test_rank_mod_p():
 
 # ---- Betti numbers against group cohomology over GF(p) ----
 
-# file -> dim H^n(G; GF(p)) for n = 0..8 (Adem and Milgram, Cohomology of
-# Finite Groups, 2nd ed., 2004). Over GF(2), S3 has the cohomology of its
-# Sylow subgroup Z/2, 1 in every degree; over GF(3) that of Z/3 fixed by
-# the quotient Z/2, 1 in the degrees 0 and 3, 4 mod 4. Z/3 x Z/3 over
-# GF(3) has n + 1 in degree n.
+# file -> dim H^n(G; GF(p)) for n = 0..8, or 0..6 for S4 (Adem and
+# Milgram, Cohomology of Finite Groups, 2nd ed., 2004). Over GF(2), S3 has
+# the cohomology of its Sylow subgroup Z/2, 1 in every degree; over GF(3)
+# that of Z/3 fixed by the quotient Z/2, 1 in the degrees 0 and 3, 4 mod
+# 4. Z/3 x Z/3 over GF(3) has n + 1 in degree n. S4 over GF(3) has the
+# cohomology of S3, the normaliser of its Sylow 3-subgroup.
 COHOMOLOGY = {
     "s3_group_gf2.json": [1] * 9,
     "s3_group_gf3.json": [1, 0, 0, 1, 1, 0, 0, 1, 1],
     "groups/z3xz3_gf3.json": [n + 1 for n in range(9)],
+    "groups/s4_gf3.json": [1, 0, 0, 1, 1, 0, 0],
 }
 
 
@@ -898,7 +909,20 @@ COHOMOLOGY = {
 def test_betti_numbers_are_group_cohomology(name):
     eng = ResolutionEngine.from_presentation(
         Presentation.load(PRESENTATIONS / name))
-    assert betti_numbers(eng, 8) == COHOMOLOGY[name]
+    expected = COHOMOLOGY[name]
+    assert betti_numbers(eng, len(expected) - 1) == expected
+
+
+def test_s4_over_gf3():
+    # the rules of s4_gf2.json over GF(3), where the signs no longer
+    # cancel: the same normal words and chains, and its own differentials
+    eng = ResolutionEngine.from_presentation(
+        Presentation.load(PRESENTATIONS / "groups" / "s4_gf3.json"))
+    order, words, _, _, golden = GROUPS["s4_gf2.json"]
+    assert eng.rs.count_normal_words(7) == words + [0]
+    assert sum(words) == order
+    assert [len(eng.chains(n)) for n in range(7)] == golden
+    assert all(r.ok for r in eng.verify_complex(5))
 
 
 def test_z3xz3_over_gf3_has_a_minimal_resolution():
